@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .exceptions import ConfigError
 from .slt_core import (EnsembleConfig, check_resolution, ensemble_renormalized,
-                       renorm_double_mean)
+                       renorm_double_mean, resolution_warning_once)
 from .weights import (RadialParameterMap, ScalarWeight, coordinate_sup_profile,
                       hilbert_slt, jacobian_weight, occupation_density_field,
                       rare_spike_weight)
@@ -93,18 +93,20 @@ class ExperimentConfig:
         kind = spec.get("kind")
         if kind not in WEIGHT_KINDS:
             return [f"unknown weight kind {kind!r}"]
-        if kind == "constant" and "value" not in spec:
-            problems.append("constant weight needs a 'value'")
+        if kind == "constant" and _spec_number(spec, "value", float) is None:
+            problems.append(f"constant weight needs a numeric 'value', got {spec.get('value')!r}")
         if kind == "jacobian":
             if spec.get("map") not in builtin_maps():
                 problems.append(f"jacobian weight needs a builtin 'map', one of "
                                 f"{sorted(builtin_maps())}")
             if self.k < 2 and self.subcommand == "converge":
                 problems.append("jacobian weight needs k >= 2")
-        if kind == "rare-spike" and int(spec.get("n_levels", 0)) < 2:
-            problems.append("rare-spike weight needs n_levels >= 2")
-        if kind == "occupation" and int(spec.get("mc_samples", 0)) < 100:
-            problems.append("occupation weight needs mc_samples >= 100")
+        if kind == "rare-spike" and (_spec_number(spec, "n_levels", int) or 0) < 2:
+            problems.append(f"rare-spike weight needs an integer n_levels >= 2, "
+                            f"got {spec.get('n_levels')!r}")
+        if kind == "occupation" and (_spec_number(spec, "mc_samples", int) or 0) < 100:
+            problems.append(f"occupation weight needs an integer mc_samples >= 100, "
+                            f"got {spec.get('mc_samples')!r}")
         allowed = {
             "converge": ("constant", "jacobian"),
             "hilbert": ("rare-spike",),
@@ -120,6 +122,14 @@ class ExperimentConfig:
     def ensemble(self) -> EnsembleConfig:
         return EnsembleConfig(n_paths=self.n_paths, n_steps=self.n_steps,
                               seed=self.seed, workers=self.workers, dtype=self.dtype)
+
+
+def _spec_number(spec, key, kind):
+    """``kind(spec[key])``, or None when the entry is missing or does not convert."""
+    try:
+        return kind(spec[key])
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -358,16 +368,22 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Dispatch a validated config, write the CSV table and JSON sidecar.
 
     Identical configs yield byte-identical files (timings are opt-in and
-    excluded by default precisely to keep that contract).
+    excluded by default precisely to keep that contract).  A ConfigError
+    raised by a pipeline propagates unchanged; any other failure is re-raised
+    as a RuntimeError naming the subcommand and scales.  The resolution
+    warning fires at most once per call.
     """
-    cfg.validate()
-    t0 = time.perf_counter()
-    try:
-        rows, extras = _PIPELINES[cfg.subcommand](cfg)
-    except Exception as exc:
-        raise RuntimeError(
-            f"{cfg.subcommand} run failed (eps_list={list(cfg.eps_list)}): {exc}"
-        ) from exc
+    with resolution_warning_once():
+        cfg.validate()
+        t0 = time.perf_counter()
+        try:
+            rows, extras = _PIPELINES[cfg.subcommand](cfg)
+        except ConfigError:
+            raise
+        except Exception as exc:
+            raise RuntimeError(
+                f"{cfg.subcommand} run failed (eps_list={list(cfg.eps_list)}): {exc}"
+            ) from exc
     wall = time.perf_counter() - t0
     if cfg.timings:
         for row in rows:
@@ -397,16 +413,27 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 # command line front end
 # ---------------------------------------------------------------------------
 
+def _flag_number(arg, kind, default):
+    """``kind(arg)``, ``default`` for an empty ``arg``; text that does not convert
+    is kept as is, for ``validate`` to report with the other violations."""
+    if not arg:
+        return default
+    try:
+        return kind(arg)
+    except ValueError:
+        return arg
+
+
 def _parse_weight_flag(text):
     kind, _, arg = text.partition(":")
     if kind == "const":
-        return {"kind": "constant", "value": float(arg or 1.0)}
+        return {"kind": "constant", "value": _flag_number(arg, float, 1.0)}
     if kind in ("jac", "jacobian"):
         return {"kind": "jacobian", "map": arg or "identity"}
     if kind == "rare-spike":
-        return {"kind": "rare-spike", "n_levels": int(arg or 30)}
+        return {"kind": "rare-spike", "n_levels": _flag_number(arg, int, 30)}
     if kind == "occupation":
-        return {"kind": "occupation", "mc_samples": int(arg or 2000)}
+        return {"kind": "occupation", "mc_samples": _flag_number(arg, int, 2000)}
     raise ConfigError([f"cannot parse weight spec {text!r}; use const:C, jacobian:MAP, "
                        "rare-spike:N or occupation:SAMPLES"])
 
@@ -439,20 +466,21 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            with open(args.config) as fh:
-                cfg = parse_config(fh.read())
-        else:
-            if not args.subcommand:
-                raise ConfigError(["--subcommand is required (or use --config)"])
-            cfg = ExperimentConfig(
-                subcommand=args.subcommand, k=args.k, eps_list=tuple(args.eps),
-                n_paths=args.n_paths, n_steps=args.n_steps, seed=args.seed,
-                weight_spec=_parse_weight_flag(args.weight),
-                output_path=args.output_path, workers=args.workers,
-                dtype=args.dtype, timings=args.timings,
-            ).validate()
-        result = run_experiment(cfg)
+        with resolution_warning_once():
+            if args.config:
+                with open(args.config) as fh:
+                    cfg = parse_config(fh.read())
+            else:
+                if not args.subcommand:
+                    raise ConfigError(["--subcommand is required (or use --config)"])
+                cfg = ExperimentConfig(
+                    subcommand=args.subcommand, k=args.k, eps_list=tuple(args.eps),
+                    n_paths=args.n_paths, n_steps=args.n_steps, seed=args.seed,
+                    weight_spec=_parse_weight_flag(args.weight),
+                    output_path=args.output_path, workers=args.workers,
+                    dtype=args.dtype, timings=args.timings,
+                ).validate()
+            result = run_experiment(cfg)
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"config error: {violation}")

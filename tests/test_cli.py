@@ -239,6 +239,47 @@ def test_main_reports_all_violations(capsys):
     assert "k must be" in out and "strictly decreasing" in out
 
 
+@pytest.mark.parametrize("subcommand,weight", [("hilbert", "rare-spike:abc"),
+                                               ("brick-check", "occupation:x"),
+                                               ("converge", "const:x")])
+def test_main_reports_unparsable_weight_numbers(subcommand, weight, capsys):
+    code = main(["--subcommand", subcommand, "--weight", weight, "--k", "0"])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert repr(weight.partition(":")[2]) in out
+    assert "k must be" in out  # collected with the other violations
+
+
+def test_main_reports_non_integer_workers_env(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SILT_WORKERS", "two")
+    code = main(["--subcommand", "converge", "--eps", "0.2", "--paths", "4",
+                 "--steps", "32", "--out", str(tmp_path / "w")])
+    assert code == 2
+    assert "config error: SILT_WORKERS must be an integer, got 'two'" in capsys.readouterr().out
+
+
+def test_pipeline_config_error_is_not_rewrapped(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "subcommand": "lemma-delta", "eps_list": [0.1], "n_paths": 2, "n_steps": 1,
+        "quad_nodes": 5, "weight_spec": {"kind": "jacobian", "map": "shear"},
+        "output_path": str(tmp_path / "ld"),
+    }))
+    with pytest.raises(ConfigError, match="truncation radius too small"):
+        run_experiment(parse_config(cfg_path.read_text()))
+    assert main(["--config", str(cfg_path)]) == 2
+    assert "config error: truncation radius too small" in capsys.readouterr().out
+
+
+def test_resolution_warning_fires_once_per_cli_run(tmp_path, recwarn):
+    code = main(["--subcommand", "converge", "--eps", "0.001", "--paths", "4",
+                 "--steps", "16", "--out", str(tmp_path / "coarse")])
+    assert code == 0
+    warned = [w for w in recwarn if "under-resolve" in str(w.message)]
+    assert len(warned) == 1
+    assert warned[0].filename == __file__
+
+
 def test_hilbert_multiple_eps_levels(tmp_path):
     cfg = ExperimentConfig(subcommand="hilbert", k=2, eps_list=(0.2, 0.1), n_paths=20,
                            n_steps=64, seed=7,

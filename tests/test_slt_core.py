@@ -7,11 +7,13 @@ from scipy import integrate
 from conftest import brute_force_simplex, lattice_mean_double
 
 import silt
-from silt import (EnsembleConfig, PlanarPath, ScalarWeight, cauchy_diagnostic,
-                  double_mean, dynkin_renormalize, ensemble_renormalized,
-                  estimate_renormalized, gauss_kernel, renorm_double_mean,
-                  sample_path, simplex_functional)
-from silt.slt_core import RENORM_DOUBLE_LIMIT, MCStats
+import silt.slt_core as slt_core
+from silt import (EnsembleConfig, PlanarPath, RadialParameterMap, ScalarWeight,
+                  cauchy_diagnostic, double_mean, dynkin_renormalize,
+                  ensemble_renormalized, estimate_renormalized, gauss_kernel,
+                  rare_spike_weight, renorm_double_mean, sample_path,
+                  sample_path_points, simplex_functional, simplex_levels)
+from silt.slt_core import RENORM_DOUBLE_LIMIT, STRIP_ROWS, MCStats
 
 UNIT = ScalarWeight.constant(1.0)
 ZERO = ScalarWeight.constant(0.0)
@@ -92,6 +94,68 @@ def test_oracle_equivalence(n, k):
         oracle = brute_force_simplex(p.points, vals, 0.4, k)
         est = simplex_functional(p, rho, 0.4, k)
         assert abs(est.value - oracle) <= 1e-12 * abs(oracle)
+
+
+def _dense_levels(points, rho, eps, k):
+    """Levels 2..k from the dense float64 pair matrix U = triu(K, 1):
+    level 2 = rho^T U 1 / n^2, level 3 = rho^T U U 1 / n^3."""
+    n = len(points) - 1
+    diff = points[None, :n] - points[:n, None]
+    sq = np.sum(diff * diff, axis=-1)
+    U = np.triu(np.exp(-sq / (2.0 * eps)) / (2.0 * np.pi * eps), 1)
+    vec, levels = np.ones(n), []
+    for level in range(2, k + 1):
+        vec = U @ vec
+        levels.append(rho @ vec / n**level)
+    return np.stack(levels, axis=-1)  # (M, k - 1)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", [STRIP_ROWS - 1, STRIP_ROWS, STRIP_ROWS + 1, 3 * STRIP_ROWS + 5])
+def test_strip_edges_match_dense_oracle(n, k):
+    pts = sample_path_points(n, 13, [0])
+    rho = 0.5 + np.random.default_rng(n).random((1, 3, n))
+    eps = [0.3, 0.05]
+    levels = simplex_levels(pts, rho, eps, k)
+    for e, epsilon in enumerate(eps):
+        oracle = _dense_levels(pts[0], rho[0], epsilon, k)
+        np.testing.assert_allclose(levels[0, :, e, 1:], oracle, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-4)])
+def test_underflowing_kernel_matches_dense_oracle(dtype, rtol):
+    # at eps = 2e-4 the far pairs' kernel exponents lie below the sweep's
+    # floor (one above the log of the smallest normal number) in both dtypes;
+    # float32 rounds exponents of up to ~50 at the near pairs, hence its rtol
+    n, eps = 3 * STRIP_ROWS + 5, [0.3, 2e-4]
+    pts = sample_path_points(n, 13, [0])
+    diff = pts[0, None, :n] - pts[0, :n, None]
+    reach = np.max(np.sum(diff * diff, axis=-1))
+    assert reach / (2.0 * eps[1]) > 1.0 - np.log(np.finfo(np.float64).tiny)
+    rho = 0.5 + np.random.default_rng(n).random((1, 3, n))
+    levels = simplex_levels(pts, rho, eps, 3, dtype)
+    for e, epsilon in enumerate(eps):
+        oracle = _dense_levels(pts[0], rho[0], epsilon, 3)
+        np.testing.assert_allclose(levels[0, :, e, 1:], oracle, rtol=rtol, atol=0)
+
+
+def test_hilbert_levels_independent_of_workers():
+    n = 3 * STRIP_ROWS + 5
+    weight = rare_spike_weight(3).compose(RadialParameterMap(t_max=3.0))
+    runs = [ensemble_renormalized(EnsembleConfig(n_paths=8, n_steps=n, seed=4, workers=w,
+                                                 batch_size=2), [0.2], 3, weight)
+            for w in (1, 2)]
+    assert runs[0].levels.shape == (8, 3, 1, 3)
+    assert np.array_equal(runs[0].levels, runs[1].levels)
+
+
+def test_float32_levels_within_1e7_of_float64():
+    # unit weight at the pinned grid size; float32 rounds only the kernel values
+    kw = dict(eps_list=[0.1, 0.02], k=3, rho=UNIT)
+    a, b = (ensemble_renormalized(EnsembleConfig(n_paths=2, n_steps=4096, seed=5, workers=1,
+                                                 dtype=dt), **kw).levels
+            for dt in ("float32", "float64"))
+    assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-7
 
 
 def test_linearity_in_weight():
@@ -245,6 +309,47 @@ def test_workers_env_var(monkeypatch):
     assert EnsembleConfig(n_paths=4, n_steps=8, seed=1).resolved_workers() == 5
     monkeypatch.delenv("SILT_WORKERS")
     assert EnsembleConfig(n_paths=4, n_steps=8, seed=1, workers=2).resolved_workers() == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_runs_on_one_blas_thread_and_restores(workers, monkeypatch):
+    controls = slt_core._openblas_thread_controls()
+    before = [get() for get, _ in controls]
+    sweep = slt_core.simplex_levels
+
+    def spy(*args, **kwargs):
+        # raised inside a forked worker, this reaches the caller through the pool
+        counts = [get() for get, _ in controls]
+        if counts != [1] * len(controls):
+            raise AssertionError(f"sweep ran with BLAS thread counts {counts}")
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(slt_core, "simplex_levels", spy)
+    cfg = EnsembleConfig(n_paths=4, n_steps=64, seed=1, workers=workers, batch_size=2)
+    ensemble_renormalized(cfg, [0.2], 2, UNIT)
+    assert [get() for get, _ in controls] == before
+
+
+def test_blas_guard_without_openblas_is_noop(monkeypatch):
+    cfg = EnsembleConfig(n_paths=4, n_steps=64, seed=1, workers=1)
+    guarded = ensemble_renormalized(cfg, [0.2], 2, UNIT)
+    monkeypatch.setattr(slt_core, "_openblas_thread_controls", lambda: ())
+    plain = ensemble_renormalized(cfg, [0.2], 2, UNIT)
+    assert np.array_equal(guarded.levels, plain.levels)
+
+
+def test_nonfinite_weight_names_first_bad_path():
+    n, bad = 64, 5
+    node = sample_path_points(n, 3, [bad])[0, 10]
+
+    def spiky(pts):
+        out = np.ones(len(pts))
+        out[np.all(pts == node, axis=1)] = np.nan
+        return out
+
+    cfg = EnsembleConfig(n_paths=8, n_steps=n, seed=3, workers=1)
+    with pytest.raises(ValueError, match=f"non-finite functional value at path {bad} "):
+        ensemble_renormalized(cfg, [0.2], 2, ScalarWeight.from_function(spiky))
 
 
 def test_batch_size_does_not_change_output():
