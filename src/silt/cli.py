@@ -21,8 +21,9 @@ from . import __version__
 from .exceptions import ConfigError
 from .slt_core import (EnsembleConfig, check_resolution, ensemble_renormalized,
                        renorm_double_mean, resolution_warning_once)
-from .weights import (RadialParameterMap, ScalarWeight, coordinate_sup_profile,
-                      hilbert_slt, jacobian_weight, occupation_density_field,
+from .path_sim import sample_path
+from .weights import (HilbertSltResult, RadialParameterMap, ScalarWeight,
+                      coordinate_sup_profile, jacobian_weight, occupation_density_field,
                       rare_spike_weight)
 from .brick import (FiniteCompact, brick_contains, canonical_metric,
                     covering_brick, dudley_estimate, isonormal_sample)
@@ -61,33 +62,49 @@ class ExperimentConfig:
         problems = []
         if self.subcommand not in SUBCOMMANDS:
             problems.append(f"unknown subcommand {self.subcommand!r}")
-        if self.k < 1:
+        fields = vars(self)
+        ints = {}
+        for name in ("k", "n_paths", "n_steps", "seed", "quad_nodes"):
+            value = _spec_number(fields, name, int)
+            if value is None or value != fields[name] or isinstance(fields[name], float):
+                problems.append(f"{name} must be an integer, got {fields[name]!r}")
+            else:
+                ints[name] = value
+        if self.workers is not None and _spec_number(fields, "workers", int) != self.workers:
+            problems.append(f"workers must be an integer or null, got {self.workers!r}")
+        if ints.get("k", 1) < 1:
             problems.append(f"k must be >= 1, got {self.k}")
-        eps = tuple(float(e) for e in self.eps_list)
+        entries = self.eps_list if isinstance(self.eps_list, (list, tuple)) else (None,)
+        eps = tuple(_spec_number(entries, i, float) for i in range(len(entries)))
         if len(eps) == 0:
             problems.append("eps_list must be nonempty")
+        elif None in eps:
+            problems.append(f"eps_list must be a list of numbers, got {self.eps_list!r}")
         elif any(e <= 0 for e in eps):
             problems.append("eps_list entries must be > 0")
         elif any(b >= a for a, b in zip(eps, eps[1:])):
             problems.append("eps_list not strictly decreasing")
-        if self.n_paths < 2:
+        if ints.get("n_paths", 2) < 2:
             problems.append(f"n_paths must be >= 2, got {self.n_paths}")
-        if self.n_steps < 1:
+        if ints.get("n_steps", 1) < 1:
             problems.append(f"n_steps must be >= 1, got {self.n_steps}")
-        if not (0 <= int(self.seed) < 2**64):
+        if not (0 <= ints.get("seed", 0) < 2**64):
             problems.append("seed must be an unsigned 64-bit integer")
         if self.dtype not in ("float32", "float64"):
             problems.append(f"dtype must be float32 or float64, got {self.dtype!r}")
-        if not self.output_path:
-            problems.append("output_path must be nonempty")
-        problems += self._validate_weight()
+        if not self.output_path or not isinstance(self.output_path, str):
+            problems.append(f"output_path must be a nonempty string, got {self.output_path!r}")
+        if not isinstance(self.weight_spec, dict):
+            problems.append(f"weight_spec must be an object, got {self.weight_spec!r}")
+        elif self.subcommand in SUBCOMMANDS:
+            problems += self._validate_weight(ints.get("k"))
         if problems:
             raise ConfigError(problems)
-        if eps:
-            check_resolution(self.n_steps, eps)
+        check_resolution(self.n_steps, eps)
         return self
 
-    def _validate_weight(self):
+    def _validate_weight(self, k):
+        """Weight problems; ``k`` is the validated multiplicity, None when invalid."""
         spec = self.weight_spec
         problems = []
         kind = spec.get("kind")
@@ -96,10 +113,10 @@ class ExperimentConfig:
         if kind == "constant" and _spec_number(spec, "value", float) is None:
             problems.append(f"constant weight needs a numeric 'value', got {spec.get('value')!r}")
         if kind == "jacobian":
-            if spec.get("map") not in builtin_maps():
-                problems.append(f"jacobian weight needs a builtin 'map', one of "
-                                f"{sorted(builtin_maps())}")
-            if self.k < 2 and self.subcommand == "converge":
+            maps = sorted(builtin_maps())
+            if spec.get("map") not in maps:
+                problems.append(f"jacobian weight needs a builtin 'map', one of {maps}")
+            if k is not None and k < 2 and self.subcommand in ("converge", "image-check"):
                 problems.append("jacobian weight needs k >= 2")
         if kind == "rare-spike" and (_spec_number(spec, "n_levels", int) or 0) < 2:
             problems.append(f"rare-spike weight needs an integer n_levels >= 2, "
@@ -146,7 +163,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError([f"unknown config fields: {unknown}"])
     if "subcommand" not in raw:
         raise ConfigError(["missing required field 'subcommand'"])
-    if "eps_list" in raw:
+    if isinstance(raw.get("eps_list"), list):
         raw["eps_list"] = tuple(raw["eps_list"])
     return ExperimentConfig(**raw).validate()
 
@@ -256,9 +273,10 @@ def _run_converge(cfg):
 def _run_hilbert(cfg):
     n_levels = int(cfg.weight_spec["n_levels"])
     weight = rare_spike_weight(n_levels).compose(RadialParameterMap(t_max=float(n_levels)))
+    ensemble = ensemble_renormalized(cfg.ensemble(), cfg.eps_list, cfg.k, weight)
     rows, summaries = [], {}
-    for eps in cfg.eps_list:
-        res = hilbert_slt(cfg.ensemble(), weight, eps, cfg.k)
+    for e, eps in enumerate(cfg.eps_list):
+        res = HilbertSltResult.from_ensemble(ensemble, e, weight.tail_bound)
         for stats in res.coord_stats:
             rows.append(_stats_row(cfg, stats, eps))
         rows.append(ResultRow(subcommand=cfg.subcommand, k=cfg.k, epsilon=eps,
@@ -324,18 +342,12 @@ def _brick_check_occupation(cfg):
 
 
 def _run_image_check(cfg):
-    from .image import renorm_image
-    from .path_sim import sample_path
-
+    # the renormalized image functional is the Jacobian-weighted one
+    rows, _ = _run_converge(cfg)
     F = builtin_maps()[cfg.weight_spec["map"]]
-    rows = []
-    for eps in cfg.eps_list:
-        stats = renorm_image(cfg.ensemble(), F, eps, cfg.k)
-        rows.append(_stats_row(cfg, stats, eps, oracle=_renorm_oracle(cfg, eps)))
-    residuals = []
-    for i in range(16):
-        path = sample_path(min(cfg.n_steps, 512), cfg.seed, stream=i)
-        residuals.append(image_slt(path, F, cfg.eps_list[-1], cfg.k).residual)
+    residuals = [image_slt(sample_path(min(cfg.n_steps, 512), cfg.seed, stream=i),
+                           F, cfg.eps_list[-1], cfg.k).residual
+                 for i in range(16)]
     rows.append(ResultRow(subcommand=cfg.subcommand, k=cfg.k,
                           mean=float(np.max(residuals)),
                           n_paths=cfg.n_paths, n_steps=cfg.n_steps, seed=cfg.seed))
@@ -487,7 +499,3 @@ def main(argv=None) -> int:
         return 2
     print(f"wrote {result.csv_path} ({len(result.rows)} rows) and {result.sidecar_path}")
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

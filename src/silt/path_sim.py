@@ -64,23 +64,19 @@ def sample_path(n_steps: int, seed: int, stream: int = 0) -> PlanarPath:
     variance ``1 / n_steps``.  Identical ``(n_steps, seed, stream)`` yields
     bit-identical output across runs and worker counts.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    _check_seed(seed)
-    rng = _generator(seed, stream)
-    increments = rng.standard_normal((n_steps, 2)) * np.sqrt(1.0 / n_steps)
-    points = np.empty((n_steps + 1, 2))
-    points[0] = 0.0
-    np.cumsum(increments, axis=0, out=points[1:])
+    points = sample_path_points(n_steps, seed, [stream])[0]
     return PlanarPath(n_steps=n_steps, points=points, seed=int(seed), stream=int(stream))
 
 
 def sample_path_points(n_steps: int, seed: int, streams) -> np.ndarray:
     """Node arrays for a batch of paths, shape ``(len(streams), n_steps + 1, 2)``.
 
-    Each row equals ``sample_path(n_steps, seed, stream).points``; batching is
-    a pure convenience and does not change any individual path.
+    Row ``r`` is path ``streams[r]``; batching does not change any individual
+    path.
     """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    _check_seed(seed)
     streams = list(streams)
     out = np.empty((len(streams), n_steps + 1, 2))
     scale = np.sqrt(1.0 / n_steps)

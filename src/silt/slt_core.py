@@ -83,7 +83,6 @@ class SimplexEstimate:
     k: int
     epsilon: float
     n_steps: int
-    stderr: float | None = None  # set only in tuple-sampling mode
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -243,72 +242,14 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
     return out
 
 
-def _brute_tuple_value(points, rho_vals, epsilon, idx):
-    term = rho_vals[idx[0]]
-    for a, b in zip(idx[:-1], idx[1:]):
-        term = term * gauss_kernel(points[b] - points[a], epsilon)
-    return term
-
-
-def _simplex_mc(points, rho_vals, epsilon, k, n_samples, seed):
-    """Uniform sampling of strictly ordered node tuples.
-
-    The estimate is count * mean(g) * (1/n)^k with count = C(n, k), which
-    converges to the simplex-volume factor 1/k! as n grows.
-    """
-    n = len(points) - 1
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    samples = np.empty((n_samples, k), dtype=np.int64)
-    filled = 0
-    while filled < n_samples:
-        block = rng.integers(0, n, size=(2 * (n_samples - filled), k))
-        block.sort(axis=1)
-        ok = np.all(np.diff(block, axis=1) > 0, axis=1)
-        block = block[ok][: n_samples - filled]
-        samples[filled : filled + block.shape[0]] = block
-        filled += block.shape[0]
-    vals = rho_vals[samples[:, 0]].astype(float)
-    for j in range(k - 1):
-        diff = points[samples[:, j + 1]] - points[samples[:, j]]
-        vals *= gauss_kernel(diff, epsilon)
-    scale = math.comb(n, k) / n**k
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(n_samples)) * scale
-    return mean * scale, stderr
-
-
-def simplex_functional(path: PlanarPath, rho, epsilon, k, mode="auto",
-                       mc_samples=100_000, mc_seed=0,
-                       max_exact_cost=10**12) -> SimplexEstimate:
+def simplex_functional(path: PlanarPath, rho, epsilon, k) -> SimplexEstimate:
     """Grid simplex functional of one path for weight rho at multiplicity k.
 
-    ``mode`` is "exact" (full ordered-tuple sum, evaluated by the O(k n^2)
-    chain recursion), "mc" (uniform ordered-tuple sampling with its own
-    stderr), or "auto" (exact for k <= 3, mc for k >= 4).  Exact mode refuses
-    jobs whose nominal tuple cost n^k exceeds ``max_exact_cost``.
+    The full ordered-tuple sum, evaluated in float64 by the O(k n^2) chain
+    recursion of ``simplex_levels``.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    if mode not in ("auto", "exact", "mc"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        mode = "exact" if k <= 3 else "mc"
     n = path.n_steps
-    if mode == "exact" and k > 1 and float(n) ** k > max_exact_cost:
-        raise ValueError(
-            f"exact mode refused: n^k = {float(n)**k:.3g} exceeds budget {max_exact_cost:.3g}; "
-            "request mode='mc' or raise max_exact_cost"
-        )
     rho_vals = np.asarray(rho.values(path.points[:n]), dtype=float)
-    if mode == "mc":
-        if k == 1:
-            value, stderr = float(rho_vals.mean()), 0.0
-        else:
-            value, stderr = _simplex_mc(path.points, rho_vals, epsilon, k, mc_samples, mc_seed)
-        return SimplexEstimate(value=value, k=k, epsilon=float(epsilon),
-                               n_steps=n, stderr=stderr)
     levels = simplex_levels(path.points[None], rho_vals[None, None, :], [epsilon], k)
     return SimplexEstimate(value=float(levels[0, 0, 0, k - 1]), k=k,
                            epsilon=float(epsilon), n_steps=n)

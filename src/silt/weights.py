@@ -10,14 +10,15 @@ brick (see the brick module).
 
 Two concrete random-field weights are provided: a piecewise-linear chain of
 independent rare-spike variables (unbounded sup, vanishing norms) and a
-Gaussian-displaced occupation-density field with a log-singular kernel.
+Gaussian-displaced occupation-density field with a log-singular kernel, the
+closed form E1(|u|^2 / 2) / (2 pi).
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
+from scipy.special import exp1
 
 from .exceptions import RankDeficiencyError, SingularityError
 from .slt_core import EnsembleConfig, MCStats, ensemble_renormalized
@@ -215,6 +216,15 @@ class HilbertSltResult:
     norm_sq_partial: np.ndarray
     tail_bound: float
 
+    @classmethod
+    def from_ensemble(cls, result, eps_index, tail_bound):
+        """The result at scale ``result.eps_list[eps_index]`` of a coupled ensemble."""
+        per_path = result.renormalized[:, :, eps_index]  # (n_paths, M)
+        stats = tuple(MCStats.from_samples(per_path[:, m]) for m in range(per_path.shape[1]))
+        partial = np.mean(np.cumsum(per_path * per_path, axis=1), axis=0)
+        return cls(epsilon=float(result.eps_list[eps_index]), k=int(result.k),
+                   coord_stats=stats, norm_sq_partial=partial, tail_bound=float(tail_bound))
+
 
 def hilbert_slt(cfg: EnsembleConfig, weight: HilbertWeight, epsilon, k) -> HilbertSltResult:
     """Renormalized functionals of every coordinate of a Hilbert weight, coupled.
@@ -223,14 +233,8 @@ def hilbert_slt(cfg: EnsembleConfig, weight: HilbertWeight, epsilon, k) -> Hilbe
     so cross-coordinate combinations (notably the truncated squared norm) are
     computed pathwise.
     """
-    if weight.n_coords < 1:
-        raise ValueError("weight has no coordinates")
     result = ensemble_renormalized(cfg, [epsilon], k, weight)
-    per_path = result.renormalized[:, :, 0]  # (n_paths, M)
-    stats = tuple(MCStats.from_samples(per_path[:, m]) for m in range(weight.n_coords))
-    partial = np.mean(np.cumsum(per_path * per_path, axis=1), axis=0)
-    return HilbertSltResult(epsilon=float(epsilon), k=int(k), coord_stats=stats,
-                            norm_sq_partial=partial, tail_bound=float(weight.tail_bound))
+    return HilbertSltResult.from_ensemble(result, 0, weight.tail_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -390,20 +394,15 @@ def occupation_kernel(points) -> np.ndarray:
     """Mean occupation density of planar Brownian motion over [0, 1].
 
     f(u) = integral over t in (0, 1] of the centered Gaussian density of scale
-    t at u, evaluated by adaptive quadrature in log time (the integrand is a
-    smooth bump there).  Diverges logarithmically at the origin, which is
-    rejected.
+    t at u, which the substitution s = |u|^2 / (2t) turns into the closed form
+    E1(|u|^2 / 2) / (2 pi) (``scipy.special.exp1``, vectorized over points).
+    Diverges logarithmically at the origin, which is rejected.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     r2 = np.sum(pts * pts, axis=-1)
     if np.any(r2 == 0.0):
         raise ValueError("occupation kernel is +inf at the origin; exclude it")
-    out = np.empty(r2.shape)
-    for i, s in enumerate(r2):
-        half = 0.5 * s
-        lo = math.log(half) - 45.0 if half < 1.0 else -45.0
-        val, _ = integrate.quad(lambda x: math.exp(-half * math.exp(-x)), lo, 0.0, limit=200)
-        out[i] = val / (2.0 * math.pi)
+    out = exp1(0.5 * r2) / (2.0 * math.pi)
     return out if np.asarray(points).ndim > 1 else float(out[0])
 
 
@@ -425,18 +424,22 @@ class OccupationField:
     def f(self, points):
         return occupation_kernel(points)
 
+    def _kernel_rows(self, points):
+        """f(p - z) for every point p and draw z: shape (len(points), mc_samples)."""
+        pts = np.asarray(points, dtype=float)
+        shifted = (pts[:, None, :] - self._z[None, :, :]).reshape(-1, 2)
+        return occupation_kernel(shifted).reshape(pts.shape[0], -1)
+
     def covariance(self, u, v):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        fu = occupation_kernel(u[None, :] - self._z)
-        fv = fu if np.array_equal(u, v) else occupation_kernel(v[None, :] - self._z)
+        fu, fv = self._kernel_rows(np.stack([u, v]))
         envelope = math.exp(-float(u @ u) - float(v @ v))
         return envelope * float(np.mean(fu * fv))
 
     def covariance_matrix(self):
         pts = self.grid
-        n = pts.shape[0]
-        F = np.stack([occupation_kernel(p[None, :] - self._z) for p in pts])
+        F = self._kernel_rows(pts)
         env = np.exp(-np.sum(pts * pts, axis=1))
         return np.outer(env, env) * (F @ F.T) / self.mc_samples
 

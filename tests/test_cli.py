@@ -1,6 +1,9 @@
 """Tests for configuration parsing, orchestration, and bit-stable emission."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -287,3 +290,81 @@ def test_hilbert_multiple_eps_levels(tmp_path):
                            output_path=str(tmp_path / "hb2")).validate()
     result = run_experiment(cfg)
     assert len(result.rows) == 2 * 5  # (4 coords + summary) per scale
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"seed": "abc"}, "seed must be an integer"),
+    ({"k": "x"}, "k must be an integer"),
+    ({"n_paths": None}, "n_paths must be an integer"),
+    ({"eps_list": ["a"]}, "eps_list must be a list of numbers"),
+    ({"k": "x", "weight_spec": {"kind": "jacobian", "map": "swirl"}}, "k must be an integer"),
+    ({"subcommand": "image-check", "k": 1, "weight_spec": {"kind": "jacobian", "map": "swirl"}},
+     "jacobian weight needs k >= 2"),
+    ({"weight_spec": {"kind": "jacobian", "map": ["swirl"]}}, "jacobian weight needs a builtin"),
+], ids=["seed", "k", "n_paths", "eps_list", "k-with-jacobian", "image-check-k1", "map-list"])
+def test_main_reports_malformed_config_fields(fields, message, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"subcommand": "converge",
+                                    "output_path": str(tmp_path / "bad"), **fields}))
+    assert main(["--config", str(cfg_path)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"config error: {message}") and out.count("config error") == 1
+def test_python_m_silt_runs_without_runpy_warning(tmp_path):
+    import silt
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(silt.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "silt", "--subcommand", "brick-check",
+                           "--weight", "rare-spike:5"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "found in sys.modules" not in proc.stderr
+    assert (tmp_path / "silt_results.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# one coupled ensemble per multi-scale run
+# ---------------------------------------------------------------------------
+
+_COUPLED_RUNS = {
+    "hilbert": dict(k=3, weight_spec={"kind": "rare-spike", "n_levels": 10}),
+    "image-check": dict(k=2, weight_spec={"kind": "jacobian", "map": "swirl"}),
+}
+
+
+def _coupled_run(tmp_path, subcommand, eps_list, workers):
+    name = f"{subcommand}-{len(eps_list)}-{eps_list[0]}-{workers}"
+    cfg = ExperimentConfig(subcommand=subcommand, eps_list=eps_list, n_paths=64,
+                           n_steps=128, seed=21, workers=workers,
+                           output_path=str(tmp_path / name), **_COUPLED_RUNS[subcommand])
+    return run_experiment(cfg.validate()).rows
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("subcommand", sorted(_COUPLED_RUNS))
+def test_multi_scale_rows_equal_single_scale_rows(subcommand, workers, tmp_path):
+    both = _coupled_run(tmp_path, subcommand, (0.2, 0.1), workers)
+    first = _coupled_run(tmp_path, subcommand, (0.2,), workers)
+    second = _coupled_run(tmp_path, subcommand, (0.1,), workers)
+    if subcommand == "image-check":
+        # one Monte Carlo row per scale, then the residual row at the last scale
+        expected = [first[0], second[0], second[-1]]
+    else:
+        expected = first + second
+    assert [row.as_csv_fields() for row in both] == [row.as_csv_fields() for row in expected]
+
+
+@pytest.mark.parametrize("subcommand", sorted(_COUPLED_RUNS))
+def test_multi_scale_run_samples_each_path_once(subcommand, tmp_path, monkeypatch):
+    import silt.slt_core as slt_core
+
+    sampled = []
+    original = slt_core.sample_path_points
+
+    def counting(n_steps, seed, streams):
+        streams = list(streams)
+        sampled.extend(streams)
+        return original(n_steps, seed, streams)
+
+    monkeypatch.setattr(slt_core, "sample_path_points", counting)
+    _coupled_run(tmp_path, subcommand, (0.2, 0.1), 1)
+    assert sorted(sampled) == list(range(64))

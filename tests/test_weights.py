@@ -223,9 +223,10 @@ def test_jacobian_weight_needs_k_ge_2():
 
 def test_occupation_kernel_matches_exponential_integral():
     # substitution s = ||u||^2/(2t) turns the time integral into E1(||u||^2/2)/(2 pi)
-    for r2 in (0.25, 1.0, 2.0, 4.0):
+    # up to r2 = 100, where the kernel is 6e-25: far below any absolute quadrature tolerance
+    for r2 in (1e-8, 0.25, 1.0, 2.0, 4.0, 36.0, 64.0, 100.0):
         u = np.array([[np.sqrt(r2), 0.0]])
-        assert occupation_kernel(u)[0] == pytest.approx(exp1(r2 / 2) / (2 * np.pi), rel=1e-10)
+        assert occupation_kernel(u)[0] == pytest.approx(exp1(r2 / 2) / (2 * np.pi), rel=1e-12)
     assert occupation_kernel(np.array([[np.sqrt(2.0), 0.0]]))[0] == pytest.approx(0.0349160, abs=1e-6)
 
 
