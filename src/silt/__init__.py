@@ -11,17 +11,16 @@ __version__ = "0.1.0"
 
 from .exceptions import (ConfigError, NotPositiveSemidefiniteError,
                          RankDeficiencyError, SingularityError)
-from .path_sim import PlanarPath, path_value, sample_path, sample_path_points
+from .path_sim import PlanarPath, sample_path, sample_path_points
 from .slt_core import (RENORM_DOUBLE_LIMIT, CauchyRow, EnsembleConfig,
                        EnsembleResult, MCStats, SimplexEstimate,
                        cauchy_diagnostic, double_mean, dynkin_renormalize,
                        ensemble_renormalized, estimate_renormalized,
-                       gauss_kernel, renorm_double_mean, simplex_functional,
-                       simplex_levels)
+                       renorm_double_mean, simplex_functional, simplex_levels)
 from .weights import (CovarianceOracle, HilbertSltResult, HilbertWeight,
                       OccupationField, RadialParameterMap, RareSpikeWeight,
                       ScalarWeight, SupProfile, coordinate_sup_profile,
-                      hilbert_slt, jacobian_weight, occupation_density_field,
+                      jacobian_weight, occupation_density_field,
                       occupation_kernel, pivoted_cholesky, rare_spike_weight,
                       spike_gram)
 from .brick import (Brick, FiniteCompact, IsonormalSample, brick_contains,
@@ -29,7 +28,6 @@ from .brick import (Brick, FiniteCompact, IsonormalSample, brick_contains,
                     isonormal_sample, minkowski_cover, project_cover)
 from .image import (BumpFunction, DeltaRow, Diffeomorphism, ImageIdentity,
                     affine_map, builtin_maps, bump_function,
-                    delta_family_check, image_kernel, image_slt,
-                    perturbation_map, renorm_image)
+                    delta_family_check, image_slt, perturbation_map)
 from .cli import (CSV_COLUMNS, ExperimentConfig, ResultRow, RunResult,
                   config_to_json, parse_config, run_experiment)

@@ -88,6 +88,8 @@ class ExperimentConfig:
             problems.append(f"n_paths must be >= 2, got {self.n_paths}")
         if ints.get("n_steps", 1) < 1:
             problems.append(f"n_steps must be >= 1, got {self.n_steps}")
+        if ints.get("quad_nodes", 1) < 1:
+            problems.append(f"quad_nodes must be >= 1, got {self.quad_nodes}")
         if not (0 <= ints.get("seed", 0) < 2**64):
             problems.append("seed must be an unsigned 64-bit integer")
         if self.dtype not in ("float32", "float64"):
@@ -124,6 +126,8 @@ class ExperimentConfig:
         if kind == "occupation" and (_spec_number(spec, "mc_samples", int) or 0) < 100:
             problems.append(f"occupation weight needs an integer mc_samples >= 100, "
                             f"got {spec.get('mc_samples')!r}")
+        if kind == "occupation" and "grid" in spec:
+            problems += _grid_problems(spec["grid"])
         allowed = {
             "converge": ("constant", "jacobian"),
             "hilbert": ("rare-spike",),
@@ -147,6 +151,19 @@ def _spec_number(spec, key, kind):
         return kind(spec[key])
     except (KeyError, TypeError, ValueError):
         return None
+
+
+def _grid_problems(grid):
+    """Problems with an occupation ``grid``: a list of finite planar points off the origin."""
+    try:
+        pts = np.atleast_2d(np.asarray(grid, dtype=float))
+    except (TypeError, ValueError):
+        pts = np.empty((0, 0))
+    if pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
+        return [f"occupation grid must be a list of finite planar points, got {grid!r}"]
+    if np.any(np.all(pts == 0.0, axis=1)):
+        return ["occupation grid must exclude the origin, where the kernel diverges"]
+    return []
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -276,14 +293,14 @@ def _run_hilbert(cfg):
     ensemble = ensemble_renormalized(cfg.ensemble(), cfg.eps_list, cfg.k, weight)
     rows, summaries = [], {}
     for e, eps in enumerate(cfg.eps_list):
-        res = HilbertSltResult.from_ensemble(ensemble, e, weight.tail_bound)
+        res = HilbertSltResult.from_ensemble(ensemble, e, weight.first_omitted_norm_sq)
         for stats in res.coord_stats:
             rows.append(_stats_row(cfg, stats, eps))
         rows.append(ResultRow(subcommand=cfg.subcommand, k=cfg.k, epsilon=eps,
                               mean=float(res.norm_sq_partial[-1]),
                               n_paths=cfg.n_paths, n_steps=cfg.n_steps, seed=cfg.seed))
         summaries[eps] = res
-    return rows, {"results": summaries, "tail_bound": weight.tail_bound}
+    return rows, {"results": summaries, "first_omitted_norm_sq": weight.first_omitted_norm_sq}
 
 
 def _run_brick_check(cfg):
@@ -497,5 +514,8 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"config error: {violation}")
         return 2
+    except (RuntimeError, OSError) as exc:
+        print(f"error: {exc}")
+        return 1
     print(f"wrote {result.csv_path} ({len(result.rows)} rows) and {result.sidecar_path}")
     return 0

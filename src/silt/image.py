@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, SingularityError
+from .exceptions import ConfigError
 from .path_sim import PlanarPath
-from .slt_core import EnsembleConfig, MCStats, ensemble_renormalized, gauss_kernel, simplex_levels
+from .slt_core import simplex_levels
 from .weights import jacobian_weight
 
 
@@ -42,12 +42,6 @@ class Diffeomorphism:
     def __post_init__(self):
         if self.det_lower_bound <= 0:
             raise ValueError("det_lower_bound must be > 0")
-
-    def roundtrip_residual(self, points):
-        """max ||F(F^-1(v)) - v|| over the given points (invariant check)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        back = self.forward(self.inverse(pts))
-        return float(np.max(np.linalg.norm(back - pts, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,21 +102,18 @@ class _PerturbFwd:
 
 @dataclass(frozen=True)
 class _PerturbInv:
-    """Damped fixed-point inverse of u -> u + alpha s(u); contraction rate alpha."""
+    """Inverse of u -> u + alpha s(u) by the iteration u = v - alpha s(u) (rate alpha)."""
 
     alpha: float
-    damping: float = 1.0
-    residual_tol: float = 1e-12
-    max_iter: int = 500
 
     def __call__(self, v):
         v = np.atleast_2d(np.asarray(v, dtype=float))
         fwd = _PerturbFwd(self.alpha)
         u = v.copy()
-        for _ in range(self.max_iter):
+        for _ in range(500):
             s = np.stack([np.sin(u[:, 1]), np.cos(u[:, 0])], axis=1)
-            u = (1.0 - self.damping) * u + self.damping * (v - self.alpha * s)
-            if np.max(np.linalg.norm(fwd(u) - v, axis=1)) <= self.residual_tol:
+            u = v - self.alpha * s
+            if np.max(np.linalg.norm(fwd(u) - v, axis=1)) <= 1e-12:
                 return u
         raise RuntimeError("fixed-point inversion failed to reach the residual tolerance")
 
@@ -165,27 +156,8 @@ def builtin_maps() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# adapted kernel and the substitution identity
+# the substitution identity
 # ---------------------------------------------------------------------------
-
-def image_kernel(v_list, epsilon, F: Diffeomorphism) -> float:
-    """Adapted delta-family kernel kF_eps(v_1, ..., v_k) for k >= 2 points."""
-    v = np.atleast_2d(np.asarray(v_list, dtype=float))
-    k = v.shape[0]
-    if k < 2:
-        raise ValueError(f"image kernel needs k >= 2 points, got {k}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    u = F.inverse(v)
-    det1 = float(np.abs(F.jac_det(u[:1]))[0])
-    if det1 < F.det_lower_bound * (1 - 1e-12):
-        raise SingularityError(tuple(u[0]), f"|det F'| = {det1:g} below declared bound "
-                                            f"{F.det_lower_bound:g} at {tuple(u[0])}")
-    value = det1 ** (-(k - 1))
-    for i in range(k - 1):
-        value *= float(gauss_kernel(u[i + 1] - u[i], epsilon))
-    return value
-
 
 @dataclass(frozen=True)
 class ImageIdentity:
@@ -223,16 +195,6 @@ def image_slt(path: PlanarPath, F: Diffeomorphism, epsilon, k) -> ImageIdentity:
     residual = 0.0 if denom == 0.0 else abs(val_a - val_b) / denom
     return ImageIdentity(value_image=val_a, value_weighted=val_b, residual=residual,
                          k=int(k), epsilon=float(epsilon))
-
-
-def renorm_image(cfg: EnsembleConfig, F: Diffeomorphism, epsilon, k) -> MCStats:
-    """Monte Carlo estimate of the renormalized image functional.
-
-    Equals the renormalized estimate with the Jacobian weight 1/|det F'|^(k-1);
-    the weight is the k-dependent one at every renormalization level.
-    """
-    result = ensemble_renormalized(cfg, [epsilon], k, jacobian_weight(F, k))
-    return result.stats()
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +239,14 @@ class DeltaRow:
     deviation: float
 
 
-def delta_family_check(phi, v_k, F: Diffeomorphism, epsilon_levels, k=2,
-                       n_nodes=41, mass_tol=1e-8):
+def delta_family_check(phi, v_k, F: Diffeomorphism, epsilon_levels, k=2, n_nodes=41):
     """Convergence table of integral(phi * kF_eps) toward phi at the collapsed point.
 
     The integral over the 2(k-1) free points is taken in pre-image coordinates
     where each kernel factor is a Gaussian of scale sqrt(eps); tensor
     Gauss-Hermite nodes adapted to that scale evaluate it.  The Gaussian mass
-    outside the node radius must stay below ``mass_tol`` (per factor), else
-    the node count is rejected as a configuration error.
+    outside the node radius must stay below 1e-8 (per factor), else the node
+    count is rejected as a configuration error.
     """
     if k not in (2, 3):
         raise ValueError("delta-family check supports k = 2 or 3 only")
@@ -295,10 +256,10 @@ def delta_family_check(phi, v_k, F: Diffeomorphism, epsilon_levels, k=2,
     nodes, wts = np.polynomial.hermite.hermgauss(int(n_nodes))
     x_max = float(np.max(np.abs(nodes)))
     mass_out = math.exp(-x_max * x_max)  # exact planar Gaussian tail at the node radius
-    if mass_out > mass_tol:
+    if mass_out > 1e-8:
         raise ConfigError(
             f"truncation radius too small: {n_nodes} nodes leave Gaussian mass "
-            f"{mass_out:.2e} outside (tolerance {mass_tol:.1e}); increase n_nodes"
+            f"{mass_out:.2e} outside (tolerance 1.0e-08); increase n_nodes"
         )
     v_k = np.asarray(v_k, dtype=float)
     c = F.inverse(v_k[None, :])[0]

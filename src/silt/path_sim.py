@@ -51,11 +51,6 @@ class PlanarPath:
             raise ValueError("points[0] must be the origin")
         self.points.setflags(write=False)
 
-    @property
-    def times(self) -> np.ndarray:
-        """Grid times i / n_steps, i = 0..n_steps."""
-        return np.arange(self.n_steps + 1) / self.n_steps
-
 
 def sample_path(n_steps: int, seed: int, stream: int = 0) -> PlanarPath:
     """Sample one planar Wiener path on [0, 1] over a uniform n_steps grid.
@@ -86,16 +81,3 @@ def sample_path_points(n_steps: int, seed: int, streams) -> np.ndarray:
         np.cumsum(rng.standard_normal((n_steps, 2)) * scale, axis=0, out=out[row, 1:])
     return out
 
-
-def path_value(path: PlanarPath, t: float) -> np.ndarray:
-    """Value of the path at time t by linear interpolation; exact at grid nodes."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    tn = t * path.n_steps
-    nearest = round(tn)
-    # snap to the node when t was produced as i/n in floating point
-    if abs(tn - nearest) <= 1e-9 * max(1.0, abs(tn)):
-        return path.points[int(nearest)].copy()
-    idx = min(int(np.floor(tn)), path.n_steps - 1)
-    frac = tn - idx
-    return (1.0 - frac) * path.points[idx] + frac * path.points[idx + 1]

@@ -46,19 +46,6 @@ STRIP_ROWS = 32
 RENORM_DOUBLE_LIMIT = -1.0 / TWO_PI
 
 
-def gauss_kernel(y, epsilon):
-    """Planar Gaussian kernel (1/(2 pi eps)) exp(-||y||^2 / (2 eps)).
-
-    ``y`` is a planar point or an array of shape (..., 2); returns a scalar or
-    an array of the leading shape.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    y = np.asarray(y, dtype=float)
-    sq = np.sum(y * y, axis=-1)
-    return np.exp(-sq / (2.0 * epsilon)) / (TWO_PI * epsilon)
-
-
 def double_mean(epsilon):
     """Exact mean of the unit-weight double functional, (1/2pi)[(1+e)ln((1+e)/e) - 1].
 
@@ -302,7 +289,6 @@ class EnsembleConfig:
     workers: int | None = None
     batch_size: int = 32
     dtype: str = "float32"
-    resolution_warn_ratio: float = 10.0
 
     def __post_init__(self):
         if self.n_paths < 2:
@@ -375,13 +361,13 @@ def _outside_stacklevel():
     return level
 
 
-def check_resolution(n_steps, eps_list, ratio=10.0):
-    """Warn when the grid under-resolves the kernel scale (1/n > min(eps)/ratio).
+def check_resolution(n_steps, eps_list):
+    """Warn when the grid under-resolves the kernel scale (1/n > min(eps)/10).
 
     The warning names the first calling line outside silt.
     """
     smallest = float(np.min(eps_list))
-    if 1.0 / n_steps <= smallest / ratio:
+    if 1.0 / n_steps <= smallest / 10.0:
         return
     warned = _RESOLUTION_WARNED.get()
     if warned is not None:
@@ -389,7 +375,7 @@ def check_resolution(n_steps, eps_list, ratio=10.0):
             return
         warned[0] = True
     warnings.warn(
-        f"grid spacing 1/{n_steps} exceeds eps/{ratio:g} for eps={smallest:g}; "
+        f"grid spacing 1/{n_steps} exceeds eps/10 for eps={smallest:g}; "
         "the Riemann sum may under-resolve the kernel",
         RuntimeWarning,
         stacklevel=_outside_stacklevel(),
@@ -473,7 +459,7 @@ def ensemble_renormalized(cfg: EnsembleConfig, eps_list, k, rho) -> EnsembleResu
         raise ValueError("all epsilon values must be > 0")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    check_resolution(cfg.n_steps, eps, cfg.resolution_warn_ratio)
+    check_resolution(cfg.n_steps, eps)
     dtype = np.float32 if cfg.dtype == "float32" else np.float64
 
     ranges = [(lo, min(lo + cfg.batch_size, cfg.n_paths))

@@ -1,12 +1,12 @@
 """Weight functions: scalar, Jacobian-induced, and Hilbert-valued.
 
 A Hilbert-valued weight is represented by finitely many coordinate functions
-u -> (rho(u), e_m) in a labeled orthonormal basis plus a declared tail number
-about the omitted coordinates (for the rare-spike weight, the squared norm of
-the first omitted level; it does not bound the square sum of the omitted
-coordinate sups, which diverges there).  The square-summability profile of
-the coordinate sups decides whether the weight's range fits in a covering
-brick (see the brick module).
+u -> (rho(u), e_m) in a labeled orthonormal basis plus a declared number
+about the omitted coordinates, ``first_omitted_norm_sq`` (for the rare-spike
+weight, the squared norm of the first omitted level; it is no bound on the
+square sum of the omitted coordinate sups, which diverges there).  The
+square-summability profile of the coordinate sups decides whether the
+weight's range fits in a covering brick (see the brick module).
 
 Two concrete random-field weights are provided: a piecewise-linear chain of
 independent rare-spike variables (unbounded sup, vanishing norms) and a
@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import exp1
 
 from .exceptions import RankDeficiencyError, SingularityError
-from .slt_core import EnsembleConfig, MCStats, ensemble_renormalized
+from .slt_core import MCStats
 
 
 # ---------------------------------------------------------------------------
@@ -96,23 +96,23 @@ class RadialParameterMap:
 class HilbertWeight:
     """Hilbert-valued weight given by M coordinate functions in a labeled basis.
 
-    ``tail_bound`` is a declared nonnegative number about the omitted
-    coordinates, reported alongside truncation diagnostics and never
-    certified numerically.  It is not a bound on the square sum of the omitted
-    coordinate sups: for ``rare_spike_weight`` it is the squared norm of the
-    first omitted level, (M + 1)^(-2/3), while that sum diverges in its basis
+    ``first_omitted_norm_sq`` is a declared nonnegative number about the
+    omitted coordinates, reported alongside truncation diagnostics and never
+    certified numerically.  For ``rare_spike_weight`` it is the squared norm
+    of the first omitted level, (M + 1)^(-2/3).  It does not control the
+    square sum of the omitted coordinate sups, which diverges in that basis
     (sum over m > M of m^(-2/3)(1 - 1/m) is infinite).
     """
 
     coords: tuple
-    tail_bound: float
+    first_omitted_norm_sq: float
     basis_label: str
 
     def __post_init__(self):
         if len(self.coords) < 1:
             raise ValueError("a Hilbert weight needs at least one coordinate")
-        if self.tail_bound < 0:
-            raise ValueError("tail_bound must be >= 0")
+        if self.first_omitted_norm_sq < 0:
+            raise ValueError("first_omitted_norm_sq must be >= 0")
         object.__setattr__(self, "coords", tuple(self.coords))
 
     @property
@@ -131,7 +131,7 @@ class HilbertWeight:
                          sup_norm=c.sup_norm, name=c.name)
             for c in self.coords
         )
-        return HilbertWeight(coords=coords, tail_bound=self.tail_bound,
+        return HilbertWeight(coords=coords, first_omitted_norm_sq=self.first_omitted_norm_sq,
                              basis_label=basis_label or self.basis_label)
 
 
@@ -172,20 +172,16 @@ class SupProfile:
 
     sup_squares: np.ndarray
     partial_sums: np.ndarray
-    tail_bound: float
-
-    @property
-    def increments(self):
-        return self.sup_squares
+    first_omitted_norm_sq: float
 
 
 def coordinate_sup_profile(weight: HilbertWeight, grid) -> SupProfile:
     """Square-summability profile of a Hilbert weight on a finite grid.
 
     Returns the squared coordinate sups over the grid, their (nondecreasing)
-    partial sums, and the weight's declared tail bound.  The grid stands in
-    for the full domain; honest use requires the declared tail bound to cover
-    whatever the grid misses.
+    partial sums, and the weight's declared ``first_omitted_norm_sq``.  The
+    grid stands in for the full domain, so the sups are lower bounds on the
+    sups over it.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -193,7 +189,7 @@ def coordinate_sup_profile(weight: HilbertWeight, grid) -> SupProfile:
     vals = weight.coordinate_values(grid)
     sup_sq = np.max(vals * vals, axis=1)
     return SupProfile(sup_squares=sup_sq, partial_sums=np.cumsum(sup_sq),
-                      tail_bound=float(weight.tail_bound))
+                      first_omitted_norm_sq=float(weight.first_omitted_norm_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -206,35 +202,26 @@ class HilbertSltResult:
 
     ``norm_sq_partial[j]`` is the sample mean of sum_{m<=j+1} V_m^2 over the
     shared path ensemble (V_m the renormalized functional of coordinate m);
-    it is nondecreasing in j by construction.  ``tail_bound`` is reported as
-    a qualitative truncation indicator.
+    it is nondecreasing in j by construction.  ``first_omitted_norm_sq`` is
+    the weight's declared number, reported as a qualitative truncation
+    indicator.
     """
 
     epsilon: float
     k: int
     coord_stats: tuple
     norm_sq_partial: np.ndarray
-    tail_bound: float
+    first_omitted_norm_sq: float
 
     @classmethod
-    def from_ensemble(cls, result, eps_index, tail_bound):
+    def from_ensemble(cls, result, eps_index, first_omitted_norm_sq):
         """The result at scale ``result.eps_list[eps_index]`` of a coupled ensemble."""
         per_path = result.renormalized[:, :, eps_index]  # (n_paths, M)
         stats = tuple(MCStats.from_samples(per_path[:, m]) for m in range(per_path.shape[1]))
         partial = np.mean(np.cumsum(per_path * per_path, axis=1), axis=0)
         return cls(epsilon=float(result.eps_list[eps_index]), k=int(result.k),
-                   coord_stats=stats, norm_sq_partial=partial, tail_bound=float(tail_bound))
-
-
-def hilbert_slt(cfg: EnsembleConfig, weight: HilbertWeight, epsilon, k) -> HilbertSltResult:
-    """Renormalized functionals of every coordinate of a Hilbert weight, coupled.
-
-    All coordinates reuse the same path ensemble and the same kernel sweeps,
-    so cross-coordinate combinations (notably the truncated squared norm) are
-    computed pathwise.
-    """
-    result = ensemble_renormalized(cfg, [epsilon], k, weight)
-    return HilbertSltResult.from_ensemble(result, 0, weight.tail_bound)
+                   coord_stats=stats, norm_sq_partial=partial,
+                   first_omitted_norm_sq=float(first_omitted_norm_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +335,6 @@ class RareSpikeWeight(HilbertWeight):
 
     gram_matrix: np.ndarray = field(default=None, repr=False)
     coord_rows: np.ndarray = field(default=None, repr=False)
-    pivot_order: np.ndarray = field(default=None, repr=False)
 
     def default_grid(self, points_per_segment=8):
         n = self.n_coords
@@ -361,13 +347,13 @@ def rare_spike_weight(n_levels) -> RareSpikeWeight:
     The closed-form Gram matrix is orthonormalized by pivoted Gram-Schmidt
     (the spike variables are neither centered nor orthogonal) and the returned
     weight exposes the coordinates of the interpolated chain in the resulting
-    basis.  ``tail_bound`` is set to the declared norm decay of the first
-    omitted level, (n_levels + 1)^(-2/3), the one-step domain-extension bound.
+    basis.  ``first_omitted_norm_sq`` is the squared norm of the first
+    omitted level, (n_levels + 1)^(-2/3).
     """
     if n_levels < 2:
         raise ValueError(f"n_levels must be >= 2, got {n_levels}")
     G = spike_gram(n_levels)
-    L, perm = pivoted_cholesky(G)
+    L, _ = pivoted_cholesky(G)
     coords = tuple(
         ScalarWeight(
             evaluator=_SpikeCoordEval(np.ascontiguousarray(L[:, m]), m),
@@ -378,11 +364,10 @@ def rare_spike_weight(n_levels) -> RareSpikeWeight:
     )
     return RareSpikeWeight(
         coords=coords,
-        tail_bound=float((n_levels + 1) ** (-2.0 / 3.0)),
+        first_omitted_norm_sq=float((n_levels + 1) ** (-2.0 / 3.0)),
         basis_label=f"spike-gs-{n_levels}",
         gram_matrix=G,
         coord_rows=L,
-        pivot_order=perm,
     )
 
 
@@ -420,9 +405,6 @@ class OccupationField:
     mc_samples: int
     seed: int
     _z: np.ndarray = field(default=None, repr=False)
-
-    def f(self, points):
-        return occupation_kernel(points)
 
     def _kernel_rows(self, points):
         """f(p - z) for every point p and draw z: shape (len(points), mc_samples)."""

@@ -274,6 +274,24 @@ def test_pipeline_config_error_is_not_rewrapped(tmp_path, capsys):
     assert "config error: truncation radius too small" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("failure", ["output", "pipeline"])
+def test_main_reports_run_failures_on_one_line(failure, tmp_path, monkeypatch, capsys):
+    import silt.cli as cli_mod
+
+    out = str(tmp_path / "run")
+    if failure == "output":
+        out = str(tmp_path / "no-such-dir" / "x")
+    else:
+        def explode(_cfg):
+            raise ValueError("inner failure")
+
+        monkeypatch.setitem(cli_mod._PIPELINES, "brick-check", explode)
+    assert main(["--subcommand", "brick-check", "--weight", "rare-spike:5", "--out", out]) == 1
+    printed = capsys.readouterr().out
+    assert printed.startswith("error: ") and printed.count("\n") == 1
+    assert (out + ".csv" if failure == "output" else "brick-check run failed") in printed
+
+
 def test_resolution_warning_fires_once_per_cli_run(tmp_path, recwarn):
     code = main(["--subcommand", "converge", "--eps", "0.001", "--paths", "4",
                  "--steps", "16", "--out", str(tmp_path / "coarse")])
@@ -301,7 +319,15 @@ def test_hilbert_multiple_eps_levels(tmp_path):
     ({"subcommand": "image-check", "k": 1, "weight_spec": {"kind": "jacobian", "map": "swirl"}},
      "jacobian weight needs k >= 2"),
     ({"weight_spec": {"kind": "jacobian", "map": ["swirl"]}}, "jacobian weight needs a builtin"),
-], ids=["seed", "k", "n_paths", "eps_list", "k-with-jacobian", "image-check-k1", "map-list"])
+    ({"subcommand": "lemma-delta", "quad_nodes": 0, "weight_spec": {"kind": "jacobian", "map": "shear"}},
+     "quad_nodes must be >= 1"),
+    ({"subcommand": "brick-check",
+      "weight_spec": {"kind": "occupation", "mc_samples": 150, "grid": [[0, 0], [1, 0]]}},
+     "occupation grid must exclude the origin"),
+    ({"subcommand": "brick-check", "weight_spec": {"kind": "occupation", "mc_samples": 150, "grid": "abc"}},
+     "occupation grid must be a list of finite planar points"),
+], ids=["seed", "k", "n_paths", "eps_list", "k-with-jacobian", "image-check-k1", "map-list",
+        "quad-nodes", "grid-origin", "grid-text"])
 def test_main_reports_malformed_config_fields(fields, message, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"subcommand": "converge",

@@ -3,49 +3,60 @@
 import numpy as np
 import pytest
 
-from silt import (ConfigError, EnsembleConfig, ScalarWeight, SingularityError,
-                  affine_map, builtin_maps, bump_function, delta_family_check,
-                  estimate_renormalized, gauss_kernel, image_kernel, image_slt,
-                  perturbation_map, renorm_image, sample_path,
+from silt import (ConfigError, EnsembleConfig, PlanarPath, ScalarWeight,
+                  SingularityError, affine_map, builtin_maps, bump_function,
+                  delta_family_check, estimate_renormalized, image_slt,
+                  jacobian_weight, perturbation_map, sample_path,
                   simplex_functional)
 
 MAPS = builtin_maps()
 
 
 # ---------------------------------------------------------------------------
-# adapted kernel
+# adapted kernel, through the image route of image_slt: a path with n nodes
+# 0..n-1 and k = n holds one ordered tuple, weighted (1/n)^k
 # ---------------------------------------------------------------------------
 
+def _path(*pts):
+    pts = np.array(pts, dtype=float)
+    return PlanarPath(n_steps=len(pts) - 1, points=pts, seed=0)
+
+
+def _kernel(y, eps):
+    return np.exp(-(y @ y) / (2 * eps)) / (2 * np.pi * eps)
+
+
 def test_image_kernel_identity_is_kernel_product():
-    v = np.array([[0.1, 0.2], [0.4, -0.1], [0.0, 0.3]])
-    val = image_kernel(v, 0.7, MAPS["identity"])
-    expected = gauss_kernel(v[1] - v[0], 0.7) * gauss_kernel(v[2] - v[1], 0.7)
+    v = np.array([[0.0, 0.0], [0.4, -0.1], [0.1, 0.3], [9.0, 9.0]])
+    val = image_slt(_path(*v), MAPS["identity"], 0.7, 3).value_image * 3**3
+    expected = _kernel(v[1] - v[0], 0.7) * _kernel(v[2] - v[1], 0.7)
     assert val == pytest.approx(expected, rel=1e-12)
 
 
 def test_image_kernel_scaling_at_origin():
     eps = 0.4
-    val = image_kernel([(0.0, 0.0), (0.0, 0.0)], eps, MAPS["scale2"])
-    assert val == pytest.approx(1 / (8 * np.pi * eps), rel=1e-12)
+    val = image_slt(_path((0.0, 0.0), (0.0, 0.0), (0.0, 0.0)), MAPS["scale2"], eps, 2)
+    assert val.value_image * 2**2 == pytest.approx(1 / (8 * np.pi * eps), rel=1e-12)
 
 
 def test_image_kernel_scaling_hand_value():
-    val = image_kernel([(0.0, 0.0), (2.0, 0.0)], 1.0, MAPS["scale2"])
-    assert val == pytest.approx(np.exp(-0.5) / (8 * np.pi), rel=1e-12)  # = 0.0241331
+    # image points (0, 0), (2, 0) under scale2 are the path nodes (0, 0), (1, 0)
+    val = image_slt(_path((0.0, 0.0), (1.0, 0.0), (5.0, 5.0)), MAPS["scale2"], 1.0, 2)
+    assert val.value_image * 2**2 == pytest.approx(np.exp(-0.5) / (8 * np.pi), rel=1e-12)
 
 
 def test_image_kernel_validation():
-    with pytest.raises(ValueError):
-        image_kernel([(0.0, 0.0)], 1.0, MAPS["identity"])
-    with pytest.raises(ValueError):
-        image_kernel([(0.0, 0.0), (1.0, 0.0)], 0.0, MAPS["identity"])
+    p = sample_path(16, seed=1)
+    for eps in (0.0, -1.0):
+        with pytest.raises(ValueError, match="epsilon"):
+            image_slt(p, MAPS["identity"], eps, 2)
 
 
 def test_image_kernel_singularity():
     bad = affine_map(np.eye(2), name="broken")
     object.__setattr__(bad, "jac_det", lambda u: np.zeros(np.atleast_2d(u).shape[0]))
     with pytest.raises(SingularityError):
-        image_kernel([(0.0, 0.0), (1.0, 0.0)], 1.0, bad)
+        image_slt(sample_path(16, seed=1), bad, 1.0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +92,7 @@ def test_diffeo_roundtrip_invariant():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(1000, 2)) * 2.0
     for name, F in MAPS.items():
-        assert F.roundtrip_residual(pts) <= 1e-9, name
+        assert np.max(np.linalg.norm(F.forward(F.inverse(pts)) - pts, axis=1)) <= 1e-9, name
 
 
 def test_perturbation_jacobian_consistency():
@@ -105,12 +116,11 @@ def test_perturbation_alpha_validation():
 
 
 # ---------------------------------------------------------------------------
-# renormalized image estimates
+# renormalized image estimates: the Jacobian-weighted renormalized estimate
 # ---------------------------------------------------------------------------
 
 def test_renorm_image_identity_equals_unit_weight():
-    cfg = EnsembleConfig(n_paths=30, n_steps=64, seed=50)
-    stats = renorm_image(cfg, MAPS["identity"], 0.2, 2)
+    stats = estimate_renormalized(30, 64, 0.2, 2, jacobian_weight(MAPS["identity"], 2), seed=50)
     base = estimate_renormalized(30, 64, 0.2, 2, ScalarWeight.constant(1.0), seed=50)
     assert stats.mean == base.mean
     assert stats.variance == base.variance
@@ -119,8 +129,7 @@ def test_renorm_image_identity_equals_unit_weight():
 def test_renorm_image_scaling_matches_quarter_oracle():
     from silt import renorm_double_mean
 
-    cfg = EnsembleConfig(n_paths=1500, n_steps=512, seed=51)
-    stats = renorm_image(cfg, MAPS["scale2"], 0.1, 2)
+    stats = estimate_renormalized(1500, 512, 0.1, 2, jacobian_weight(MAPS["scale2"], 2), seed=51)
     oracle = 0.25 * renorm_double_mean(0.1)
     assert abs(stats.mean - oracle) <= 3 * stats.stderr
 
@@ -184,7 +193,7 @@ def test_delta_k_validation():
 
 def test_cauchy_diagnostic_with_jacobian_weight():
     # coupled scale ladder under a bounded-determinant map weight
-    from silt import cauchy_diagnostic, jacobian_weight
+    from silt import cauchy_diagnostic
 
     cfg = EnsembleConfig(n_paths=80, n_steps=256, seed=60)
     rho = jacobian_weight(MAPS["swirl"], 2)

@@ -1,22 +1,15 @@
-"""Tests for planar path generation and interpolation."""
+"""Tests for planar path generation."""
 
 import numpy as np
 import pytest
 
-from silt import PlanarPath, path_value, sample_path, sample_path_points
+from silt import sample_path, sample_path_points
 
 
 def test_start_point_and_shape():
     p = sample_path(1024, seed=7)
     assert p.points.shape == (1025, 2)
     np.testing.assert_array_equal(p.points[0], [0.0, 0.0])
-
-
-def test_grid_times_spacing():
-    p = sample_path(8, seed=1)
-    t = p.times
-    assert np.all(np.diff(t) > 0)
-    np.testing.assert_allclose(np.diff(t), 1.0 / 8, rtol=0, atol=0)
 
 
 def test_reproducibility_bit_identical():
@@ -66,21 +59,6 @@ def test_increment_independence():
     assert abs(corr) <= 4 / np.sqrt(n_paths)
 
 
-def test_path_value_nodes_and_interpolation():
-    pts = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 1.0]])
-    p = PlanarPath(n_steps=2, points=pts, seed=0)
-    np.testing.assert_array_equal(path_value(p, 0.0), [0.0, 0.0])
-    np.testing.assert_array_equal(path_value(p, 0.5), [1.0, 1.0])
-    np.testing.assert_array_equal(path_value(p, 0.75), [2.0, 1.0])
-
-
-def test_path_value_exact_at_awkward_grid_nodes():
-    p = sample_path(49, seed=3)
-    for i in range(50):
-        t = i / 49  # floating division need not reproduce i exactly after * 49
-        np.testing.assert_array_equal(path_value(p, t), p.points[i])
-
-
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         sample_path(0, seed=1)
@@ -88,10 +66,6 @@ def test_invalid_arguments():
         sample_path(16, seed=-1)
     with pytest.raises(ValueError):
         sample_path(16, seed=2**64)
-    p = sample_path(16, seed=1)
-    for t in (-0.01, 1.01):
-        with pytest.raises(ValueError):
-            path_value(p, t)
 
 
 def test_path_points_read_only():

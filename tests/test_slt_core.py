@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from conftest import brute_force_simplex, lattice_mean_double
@@ -10,7 +11,7 @@ import silt
 import silt.slt_core as slt_core
 from silt import (EnsembleConfig, PlanarPath, RadialParameterMap, ScalarWeight,
                   cauchy_diagnostic, double_mean, dynkin_renormalize,
-                  ensemble_renormalized, estimate_renormalized, gauss_kernel,
+                  ensemble_renormalized, estimate_renormalized,
                   rare_spike_weight, renorm_double_mean, sample_path,
                   sample_path_points, simplex_functional, simplex_levels)
 from silt.slt_core import RENORM_DOUBLE_LIMIT, STRIP_ROWS, MCStats
@@ -20,15 +21,24 @@ ZERO = ScalarWeight.constant(0.0)
 
 
 # ---------------------------------------------------------------------------
-# kernel
+# kernel values of the sweep
 # ---------------------------------------------------------------------------
 
+def _pair_kernel(ys, epsilon):
+    """g_eps(y) for each row y, from paths whose only node pair is (0, y): n = 2."""
+    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    pts = np.zeros((len(ys), 3, 2))
+    pts[:, 1] = ys
+    levels = simplex_levels(pts, np.ones((len(ys), 1, 2)), [epsilon], 2)
+    return 4.0 * levels[:, 0, 0, 1]  # undo the grid weight (1/n)^2
+
+
 def test_kernel_peak_value():
-    assert gauss_kernel((0.0, 0.0), 0.5) == pytest.approx(1 / np.pi, rel=1e-14)
+    assert _pair_kernel((0.0, 0.0), 0.5)[0] == pytest.approx(1 / np.pi, rel=1e-14)
 
 
 def test_kernel_hand_value():
-    assert gauss_kernel((1.0, 1.0), 1.0) == pytest.approx(np.exp(-1) / (2 * np.pi), rel=1e-14)
+    assert _pair_kernel((1.0, 1.0), 1.0)[0] == pytest.approx(np.exp(-1) / (2 * np.pi), rel=1e-14)
 
 
 @pytest.mark.parametrize("eps", [0.1, 1.0])
@@ -41,16 +51,15 @@ def test_kernel_normalization(eps):
 def test_kernel_bound():
     rng = np.random.default_rng(0)
     ys = rng.normal(size=(1000, 2))
-    vals = gauss_kernel(ys, 0.3)
+    vals = _pair_kernel(ys, 0.3)
     assert np.all(vals <= 1 / (2 * np.pi * 0.3))
-    assert gauss_kernel((0.0, 0.0), 0.3) == 1 / (2 * np.pi * 0.3)
+    assert _pair_kernel((0.0, 0.0), 0.3)[0] == 1 / (2 * np.pi * 0.3)
 
 
 def test_kernel_epsilon_validation():
-    with pytest.raises(ValueError):
-        gauss_kernel((0.0, 0.0), 0.0)
-    with pytest.raises(ValueError):
-        gauss_kernel((0.0, 0.0), -1.0)
+    for eps in (0.0, -1.0):
+        with pytest.raises(ValueError, match="epsilon"):
+            _pair_kernel((0.0, 0.0), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +167,17 @@ def test_float32_levels_within_1e7_of_float64():
     assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-7
 
 
-def test_linearity_in_weight():
-    p = sample_path(64, seed=8)
-    a = ScalarWeight.from_function(lambda u: np.cos(u[:, 0]))
-    b = ScalarWeight.from_function(lambda u: u[:, 1])
-    combo = ScalarWeight.from_function(lambda u: 2.0 * np.cos(u[:, 0]) - 3.0 * u[:, 1])
-    va = simplex_functional(p, a, 0.3, 2).value
-    vb = simplex_functional(p, b, 0.3, 2).value
-    vc = simplex_functional(p, combo, 0.3, 2).value
-    assert vc == pytest.approx(2 * va - 3 * vb, rel=1e-12, abs=1e-15)
+@settings(max_examples=30, deadline=None)
+@given(a=st.floats(-4.0, 4.0), b=st.floats(-4.0, 4.0), n=st.integers(2, 48),
+       k=st.integers(1, 3), stream=st.integers(0, 2**16))
+def test_linearity_in_weight(a, b, n, k, stream):
+    # nonnegative parts, so that a * va + b * vb bounds the rounding of every term
+    p = sample_path(n, seed=8, stream=stream)
+    f = ScalarWeight.from_function(lambda u: 1.0 + 0.5 * np.sin(u[:, 0]))
+    g = ScalarWeight.from_function(lambda u: u[:, 1] ** 2)
+    combo = ScalarWeight.from_function(lambda u: a * (1.0 + 0.5 * np.sin(u[:, 0])) + b * u[:, 1] ** 2)
+    va, vb, vc = (simplex_functional(p, w, 0.3, k).value for w in (f, g, combo))
+    assert abs(vc - (a * va + b * vb)) <= 1e-12 * (abs(a * va) + abs(b * vb)) + 1e-290
 
 
 def test_simplex_validation_and_guard():
@@ -200,6 +211,16 @@ def test_renormalize_eps_one_kills_lower_terms():
 def test_renormalize_length_mismatch():
     with pytest.raises(ValueError):
         dynkin_renormalize([1.0, 2.0], 0.5, k=3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(c=st.floats(-10.0, 10.0), eps=st.floats(1e-6, 1.0), k=st.integers(1, 8))
+def test_renormalize_constant_levels(c, eps, k):
+    # binomial theorem: sum_l C(k-1, l-1) L^(k-l) c = c (1 + L)^(k-1), L = ln(eps) / 2 pi
+    log_fac = np.log(eps) / (2 * np.pi)
+    scale = abs(c) * (1 + abs(log_fac)) ** (k - 1)
+    got = dynkin_renormalize([c] * k, eps)
+    assert abs(got - c * (1 + log_fac) ** (k - 1)) <= 1e-12 * scale + 1e-290
 
 
 def test_renormalize_vectorized():
@@ -336,10 +357,16 @@ def test_nonfinite_weight_names_first_bad_path():
         ensemble_renormalized(cfg, [0.2], 2, ScalarWeight.from_function(spiky))
 
 
-def test_batch_size_does_not_change_output():
-    kw = dict(eps_list=[0.2], k=2, rho=UNIT)
-    a = ensemble_renormalized(EnsembleConfig(n_paths=40, n_steps=64, seed=9, batch_size=7), **kw)
-    b = ensemble_renormalized(EnsembleConfig(n_paths=40, n_steps=64, seed=9, batch_size=40), **kw)
+@settings(max_examples=15, deadline=None)
+@given(n_paths=st.integers(2, 40), n=st.integers(1, 48), k=st.integers(1, 3),
+       batch_size=st.integers(1, 48), workers=st.sampled_from([1, 2]))
+def test_batch_size_does_not_change_output(n_paths, n, k, batch_size, workers):
+    kw = dict(eps_list=[0.2, 0.1], k=k, rho=UNIT)
+    a = ensemble_renormalized(EnsembleConfig(n_paths=n_paths, n_steps=n, seed=9, workers=workers,
+                                             batch_size=batch_size), **kw)
+    b = ensemble_renormalized(EnsembleConfig(n_paths=n_paths, n_steps=n, seed=9, workers=1,
+                                             batch_size=n_paths), **kw)
+    assert np.array_equal(a.levels, b.levels)
     assert np.array_equal(a.renormalized, b.renormalized)
 
 

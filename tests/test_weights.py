@@ -5,18 +5,19 @@ import pytest
 from scipy.special import exp1
 
 import silt
-from silt import (EnsembleConfig, HilbertWeight, RadialParameterMap,
-                  RankDeficiencyError, ScalarWeight, SingularityError,
-                  coordinate_sup_profile, estimate_renormalized, hilbert_slt,
-                  jacobian_weight, occupation_density_field, occupation_kernel,
-                  pivoted_cholesky, rare_spike_weight, spike_gram)
+from silt import (EnsembleConfig, HilbertSltResult, HilbertWeight,
+                  RadialParameterMap, RankDeficiencyError, ScalarWeight,
+                  SingularityError, coordinate_sup_profile, ensemble_renormalized,
+                  estimate_renormalized, jacobian_weight, occupation_density_field,
+                  occupation_kernel, pivoted_cholesky, rare_spike_weight, spike_gram)
 from silt.image import affine_map, builtin_maps
 from silt.weights import _ConstantEval
 
 
-def const_coords_weight(values, tail=0.0):
+def const_coords_weight(values, first_omitted=0.0):
     coords = [ScalarWeight.constant(v) for v in values]
-    return HilbertWeight(coords=tuple(coords), tail_bound=tail, basis_label="test")
+    return HilbertWeight(coords=tuple(coords), first_omitted_norm_sq=first_omitted,
+                         basis_label="test")
 
 
 # ---------------------------------------------------------------------------
@@ -35,17 +36,17 @@ def test_scalar_weight_sup_norm_enforced():
 # ---------------------------------------------------------------------------
 
 def test_profile_constant_coordinates():
-    w = const_coords_weight([3.0, -2.0, 0.5], tail=0.1)
+    w = const_coords_weight([3.0, -2.0, 0.5], first_omitted=0.1)
     grid = np.zeros((4, 2))
     prof = coordinate_sup_profile(w, grid)
     np.testing.assert_allclose(prof.sup_squares, [9.0, 4.0, 0.25])
     np.testing.assert_allclose(prof.partial_sums, [9.0, 13.0, 13.25])
-    assert prof.tail_bound == 0.1
+    assert prof.first_omitted_norm_sq == 0.1
 
 
 def test_profile_gaussian_coordinate_sup_at_origin():
     coord = ScalarWeight.from_function(lambda u: np.exp(-np.sum(u * u, axis=-1)))
-    w = HilbertWeight(coords=(coord,), tail_bound=0.0, basis_label="g")
+    w = HilbertWeight(coords=(coord,), first_omitted_norm_sq=0.0, basis_label="g")
     grid = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, -0.5]])
     prof = coordinate_sup_profile(w, grid)
     assert prof.sup_squares[0] == 1.0
@@ -116,9 +117,9 @@ def test_spike_profile_matches_closed_form():
     assert np.all(np.diff(prof.sup_squares) <= 1e-15)
 
 
-def test_spike_tail_bound_declared_decay():
+def test_spike_first_omitted_norm_sq_declared_decay():
     w = rare_spike_weight(12)
-    assert w.tail_bound == pytest.approx(13 ** (-2 / 3), rel=1e-14)
+    assert w.first_omitted_norm_sq == pytest.approx(13 ** (-2 / 3), rel=1e-14)
 
 
 def test_spike_parameter_domain_validation():
@@ -149,7 +150,7 @@ def test_radial_parameter_map():
 def test_hilbert_unit_first_coordinate_reduces_to_scalar():
     cfg = EnsembleConfig(n_paths=40, n_steps=64, seed=21)
     w = const_coords_weight([1.0, 0.0, 0.0])
-    res = hilbert_slt(cfg, w, 0.2, 2)
+    res = HilbertSltResult.from_ensemble(ensemble_renormalized(cfg, [0.2], 2, w), 0, 0.0)
     scalar = estimate_renormalized(40, 64, 0.2, 2, ScalarWeight.constant(1.0), seed=21)
     assert res.coord_stats[0].mean == pytest.approx(scalar.mean, rel=1e-13)
     for m in (1, 2):
@@ -161,14 +162,15 @@ def test_hilbert_constant_coordinates_scale_exactly():
     # dyadic constants scale every floating-point operation exactly
     cfg = EnsembleConfig(n_paths=30, n_steps=64, seed=22)
     w = const_coords_weight([1.0, 0.5, 0.25])
-    res = hilbert_slt(cfg, w, 0.2, 2)
+    res = HilbertSltResult.from_ensemble(ensemble_renormalized(cfg, [0.2], 2, w), 0, 0.0)
     assert res.coord_stats[1].mean == 0.5 * res.coord_stats[0].mean
     assert res.coord_stats[2].mean == 0.25 * res.coord_stats[0].mean
 
 
 def test_hilbert_zero_weight_all_zero():
     cfg = EnsembleConfig(n_paths=20, n_steps=64, seed=23)
-    res = hilbert_slt(cfg, const_coords_weight([0.0, 0.0]), 0.2, 2)
+    w = const_coords_weight([0.0, 0.0])
+    res = HilbertSltResult.from_ensemble(ensemble_renormalized(cfg, [0.2], 2, w), 0, 0.0)
     assert all(s.mean == 0.0 and s.variance == 0.0 for s in res.coord_stats)
     assert np.all(res.norm_sq_partial == 0.0)
 
@@ -179,7 +181,8 @@ def test_hilbert_norm_partial_sums_nondecreasing_and_plateau():
     cfg = EnsembleConfig(n_paths=60, n_steps=128, seed=24)
     n_levels = 12
     w = rare_spike_weight(n_levels).compose(RadialParameterMap(t_max=float(n_levels)))
-    res = hilbert_slt(cfg, w, 0.1, 2)
+    res = HilbertSltResult.from_ensemble(ensemble_renormalized(cfg, [0.1], 2, w), 0,
+                                         w.first_omitted_norm_sq)
     inc = np.diff(res.norm_sq_partial)
     assert np.all(inc >= 0)
     assert res.norm_sq_partial[-1] > 0
