@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import time
 from dataclasses import dataclass, asdict, field
 
@@ -96,6 +97,8 @@ class ExperimentConfig:
             problems.append(f"dtype must be float32 or float64, got {self.dtype!r}")
         if not self.output_path or not isinstance(self.output_path, str):
             problems.append(f"output_path must be a nonempty string, got {self.output_path!r}")
+        elif not os.path.isdir(folder := os.path.dirname(self.output_path) or "."):
+            problems.append(f"output directory {folder!r} does not exist")
         if not isinstance(self.weight_spec, dict):
             problems.append(f"weight_spec must be an object, got {self.weight_spec!r}")
         elif self.subcommand in SUBCOMMANDS:

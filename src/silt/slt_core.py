@@ -106,15 +106,11 @@ class MCStats:
 
 def _as_weight_rows(rho, pts):
     """Weight values at path nodes 0..n-1 for a batch: (B, M, n)."""
-    B, n_nodes, _ = pts.shape
-    n = n_nodes - 1
+    B, n = pts.shape[0], pts.shape[1] - 1
     flat = pts[:, :n, :].reshape(B * n, 2)
-    coords = rho.coordinate_values(flat) if hasattr(rho, "coordinate_values") else None
-    if coords is not None:
-        M = coords.shape[0]
-        return coords.reshape(M, B, n).transpose(1, 0, 2)
-    vals = rho.values(flat)
-    return np.asarray(vals, dtype=float).reshape(B, 1, n)
+    if hasattr(rho, "coordinate_values"):
+        return rho.coordinate_values(flat).reshape(-1, B, n).transpose(1, 0, 2)
+    return np.asarray(rho.values(flat), dtype=float).reshape(B, 1, n)
 
 
 def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
@@ -127,24 +123,22 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
         kernel work; Hilbert coordinates are coupled this way).
     eps_list : sequence of kernel scales, evaluated jointly.
     k : highest multiplicity.
-    dtype : np.float32 or np.float64 for pair distances and kernel values.
-        The level sums S_l are float64 and their products with kernel values
-        are float64 BLAS products; in float32 only the kernel values and the
-        per-row kernel sums of the last level (pairwise summation) are
-        rounded.  Levels agree with float64 to about 1e-8 relative per entry
-        (measured at n = 4096, k = 3; tested to 1e-7).
+    dtype : np.float32 or np.float64 for kernel exponents and values; the
+        level sums S_l and their products with kernel values are float64.
+        float32 rounds the strip-centred coordinates and exponents, the kernel
+        values and, at k = 2, the last level's 32-row products.  On grids with
+        n >= 10 / eps, levels agree with float64 to about 1e-8 relative per
+        entry at any offset of the path (tested to 1e-7 at offsets up to 1e3).
 
-    The sweep takes, path by path, strips of ``STRIP_ROWS`` node rows
-    i in [i0, i0 + R) against every column j >= i0, masks the pairs j <= i,
-    and adds the strip's share of S_{l+1}(j) = sum_{i<j} S_l(i) K_ij as a
-    matrix product, for every level from the same kernel values.  No pair is
-    skipped or approximated, except that kernel values below e times the
-    smallest normal number of ``dtype`` (3.2e-38 in float32) are raised to
-    it.  Subnormal exp results cost about ten times a normal one on x86, and
-    their share moves with the path's shape, and so would the sweep time.
-    Values that small lie far below the rounding of the sums they enter;
-    the benchmark's CSV outputs are byte-identical with and without the
-    floor.
+    The sweep takes, path by path, strips of ``STRIP_ROWS`` node rows i against
+    every column j >= i.  One matrix product gives every scale's exponents
+    -(a_i + a_j - 2 q_i.q_j) / (2 eps), with q = w - h, a = |q|^2 and h the
+    centre of the strip rows' bounding box; the sweep masks the pairs j <= i
+    and adds the strip's share of S_{l+1}(j) = sum_{i<j} S_l(i) K_ij to every
+    level as a matrix product.  No pair is skipped or approximated, except that
+    kernel values below e times the smallest normal number of ``dtype`` (3.2e-38
+    in float32) are raised to it, as subnormal exp results cost about ten times
+    a normal one on x86; values that small lie far below the sums' rounding.
 
     Returns
     -------
@@ -152,8 +146,7 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
     b, weight m, scale eps_list[e].
     """
     points = np.asarray(points, dtype=float)
-    B, n_nodes, _ = points.shape
-    n = n_nodes - 1
+    B, n = points.shape[0], points.shape[1] - 1
     eps = np.asarray(eps_list, dtype=float)
     if np.any(eps <= 0):
         raise ValueError("all epsilon values must be > 0")
@@ -166,61 +159,62 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
     E = len(eps)
 
     out = np.empty((B, M, E, k))
-    level1 = rho_rows.sum(axis=2) / n  # (B, M)
-    out[:, :, :, 0] = level1[:, :, None]
+    out[:, :, :, 0] = rho_rows.sum(axis=2)[:, :, None] / n
     if k == 1:
         return out
 
     dt = np.dtype(dtype)
-    X = points[:, :n, 0].astype(dt)
-    Y = points[:, :n, 1].astype(dt)
-    cneg = (-0.5 / eps).astype(dt)
-    # exponents are raised to this floor, so that exp never returns a
-    # subnormal number: on x86 those cost about ten times a normal exp
+    cneg = -0.5 / eps
+    # the exponent products pair rows q_x, q_y, 1, 1, a (times coef[e]) with columns
+    # q_x, q_y, a, a, 1; coef[e, 3] carries what rounding cneg to dtype drops
+    coef = np.stack([-2 * cneg, -2 * cneg, cneg, cneg - cneg.astype(dt), cneg], axis=1)
+    # exponents are raised to this floor, reached beyond squared distance floor_reach
     exp_floor = (np.log(np.finfo(dt).tiny) + 1.0).astype(dt)
+    floor_reach = [float(exp_floor / c) for c in cneg]
     upper = np.triu(np.ones((STRIP_ROWS, STRIP_ROWS), dtype=dt), 1)
-    # flat scratch, sliced per strip to stay contiguous
-    fdx = np.empty(STRIP_ROWS * n, dtype=dt)
-    fK = np.empty(E * STRIP_ROWS * n, dtype=dt)
+    ones, starts = np.ones(n), np.arange(0, n, STRIP_ROWS)
+    Q, G = np.ones((5, n)), np.empty((5, n), dtype=dt)  # a strip's columns; G in dtype
+    fK = np.empty(E * STRIP_ROWS * n, dtype=dt)  # flat scratch, sliced per strip
 
     for b in range(B):
         # S[l - 1] holds the partial sums S_l(e, m, j) of path b for levels
         # l < k; level 1 is rho itself.  When strip [i0, i1) is done, S_l is
-        # final on columns j < i1, so one pass over the strips serves every
-        # level and each strip's kernel values are computed once.
+        # final on columns j < i1, so one pass over the strips serves every level.
         S = np.zeros((k - 1, E, M, n))
         S[0] = rho_rows[b]
-        last = np.zeros((E, M))  # level-k sum
-        # scales whose exponent can reach the floor: the path's bounding-box
-        # diagonal bounds every pair distance
-        span = (X[b].max() - X[b].min()) ** 2 + (Y[b].max() - Y[b].min()) ** 2
-        low = np.flatnonzero(cneg * span < exp_floor)
-        for i0 in range(0, n, STRIP_ROWS):
+        rho, last = rho_rows[b].astype(dt), np.zeros((E, M))  # last: level-k sum
+        # strip s centres its coordinates on centres[s], or the Gram form would
+        # lose digits to the path's offset; A holds every strip's row factors
+        xy = np.ascontiguousarray(points[b, :n].T)
+        centres = (np.minimum.reduceat(xy, starts, 1) + np.maximum.reduceat(xy, starts, 1)) / 2
+        qi = xy - np.repeat(centres, STRIP_ROWS, axis=1)[:, :n]
+        ai = np.einsum("dj,dj->j", qi, qi)
+        radii = np.sqrt(np.maximum.reduceat(ai, starts))  # of the strips' rows
+        A = (coef[:, None] * np.stack([*qi, ones, ones, ai], axis=1)).astype(dt)
+        for s, i0 in enumerate(starts):
             i1 = min(i0 + STRIP_ROWS, n)
             r, w = i1 - i0, n - i0
             # strip of pairs (i, j), i in [i0, i1), j in [i0, n)
-            dx = fdx[: r * w].reshape(r, w)
+            q, g = Q[:, :w], G[:, :w]
+            np.subtract(xy[:, i0:], centres[:, s, None], out=q[:2])
+            np.einsum("dj,dj->j", q[:2], q[:2], out=q[2])
+            q[3] = q[2]
+            np.copyto(g, q)
             K = fK[: E * r * w].reshape(E, r, w)
-            dy = K[0]  # scratch until the kernel values overwrite it
-            np.subtract(X[b, None, i0:], X[b, i0:i1, None], out=dx)
-            np.subtract(Y[b, None, i0:], Y[b, i0:i1, None], out=dy)
-            np.multiply(dx, dx, out=dx)
-            np.multiply(dy, dy, out=dy)
-            np.add(dx, dy, out=dx)  # dx = squared pair distances
-            np.multiply(dx[None], cneg[:, None, None], out=K)
-            if low.size:
-                reach = dx.max()
-                for e in low:
-                    if cneg[e] * reach < exp_floor:
-                        np.maximum(K[e], exp_floor, out=K[e])
+            np.matmul(A[:, i0:i1].reshape(E * r, 5), g, out=K.reshape(E * r, w))
+            reach = (radii[s] + math.sqrt(q[2].max())) ** 2  # >= every |q_j - q_i|^2
+            for e in range(E):
+                if reach > floor_reach[e]:
+                    np.maximum(K[e], exp_floor, out=K[e])
             np.exp(K, out=K)
             K[:, :, :r] *= upper[:r, :r]  # keep j > i only
-            if k > 2:
-                K64 = K.astype(np.float64, copy=False)
-                for l in range(1, k - 1):
-                    S[l, :, :, i0:] += S[l - 1, :, :, i0:i1] @ K64
-            rowsum = K.sum(axis=2)  # (E, r)
-            last += (S[k - 2, :, :, i0:i1] @ rowsum[:, :, None])[:, :, 0]
+            if k == 2:
+                last += (rho[:, i0:i1] @ K).sum(axis=2, dtype=np.float64)
+                continue
+            K64 = K.astype(np.float64, copy=False)
+            for l in range(1, k - 1):
+                S[l, :, :, i0:] += S[l - 1, :, :, i0:i1] @ K64
+            last += (S[k - 2, :, :, i0:i1] @ (K64 @ ones[i0:])[:, :, None])[:, :, 0]
         for level in range(2, k):
             out[b, :, :, level - 1] = S[level - 1].sum(axis=2).T
         out[b, :, :, k - 1] = last.T
@@ -275,12 +269,12 @@ WORKERS_ENV_VAR = "SILT_WORKERS"
 class EnsembleConfig:
     """Shape of a Monte Carlo ensemble run.
 
-    ``workers`` defaults to the SILT_WORKERS environment variable, then the
-    machine CPU count; the worker count never affects numeric output (paths
-    are keyed by index and reduced in fixed order).  ``dtype`` selects the
-    kernel-sweep precision ("float32" or "float64"); per-path level sums at
-    both precisions agree to about 1e-8 relative (tested to 1e-7), far below
-    Monte Carlo resolution.
+    ``workers`` defaults to SILT_WORKERS, then the CPU count; it never affects
+    numeric output (paths are keyed by index and reduced in fixed order).
+    ``dtype`` ("float32" or "float64") is the precision of the sweep's centred
+    coordinates, exponents and kernel values, and of the k = 2 last level's
+    32-row products; on grids with n >= 10 / eps, level sums at both agree to
+    about 1e-8 relative at any path offset (tested to 1e-7; see simplex_levels).
     """
 
     n_paths: int

@@ -51,7 +51,9 @@ class ScalarWeight:
 
     def values(self, pts):
         pts = np.asarray(pts, dtype=float)
-        out = np.asarray(self.evaluator(pts), dtype=float)
+        return self._checked(np.asarray(self.evaluator(pts), dtype=float))
+
+    def _checked(self, out):
         if self.sup_norm is not None:
             worst = float(np.max(np.abs(out))) if out.size else 0.0
             if worst > self.sup_norm * (1 + 1e-12) + 1e-300:
@@ -120,9 +122,20 @@ class HilbertWeight:
         return len(self.coords)
 
     def coordinate_values(self, pts):
-        """Matrix of coordinate values on a point set, shape (M, len(pts))."""
+        """Matrix of coordinate values on a point set, shape (M, len(pts)); spike
+        coordinates behind one parameter map share each point's interpolation."""
         pts = np.asarray(pts, dtype=float)
-        return np.stack([c.values(pts) for c in self.coords])
+        parts = [(ev.param_map, ev.inner) if isinstance(ev, _ComposedEval) else (None, ev)
+                 for ev in (c.evaluator for c in self.coords)]
+        param_map, first = parts[0]
+        if not all(p is param_map and isinstance(sp, _SpikeCoordEval)
+                   and sp.table is first.table for p, sp in parts):
+            return np.stack([c.values(pts) for c in self.coords])
+        ts = pts if param_map is None else param_map(pts)
+        vals = _SpikeCoordEval(first.table, [sp.m for _, sp in parts])(ts)
+        for c, row in zip(self.coords, vals):
+            c._checked(row)
+        return vals
 
     def compose(self, param_map, basis_label=None):
         """Weight with every coordinate precomposed with ``param_map`` (new domain)."""
@@ -308,19 +321,23 @@ def pivoted_cholesky(G, tol=1e-12):
 
 @dataclass(frozen=True)
 class _SpikeCoordEval:
-    """Coordinate m of the interpolated spike chain on the parameter domain [1, N]."""
+    """Coordinate m (row m of ``table``, over spike variables 1..N) of the spike chain
+    interpolated linearly on the parameter domain [1, N]; a list m gives a row each."""
 
-    coord_column: np.ndarray
-    m: int
+    table: np.ndarray
+    m: object
 
     def __call__(self, ts):
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        N = self.coord_column.shape[0]
+        N = self.table.shape[1]
         if np.any(ts < 1.0 - 1e-12) or np.any(ts > N + 1e-12):
             raise ValueError(f"parameter values must lie in [1, {N}]")
         base = np.clip(np.floor(ts).astype(int), 1, N - 1)
         frac = ts - base
-        return (1.0 - frac) * self.coord_column[base - 1] + frac * self.coord_column[base]
+        out = np.empty((np.size(self.m), ts.size))
+        for row, m in zip(out, np.ravel(self.m)):  # row by row, to bound the scratch arrays
+            np.add((1.0 - frac) * self.table[m, base - 1], frac * self.table[m, base], out=row)
+        return out.reshape(np.shape(self.m) + ts.shape)
 
 
 @dataclass(frozen=True)
@@ -354,9 +371,10 @@ def rare_spike_weight(n_levels) -> RareSpikeWeight:
         raise ValueError(f"n_levels must be >= 2, got {n_levels}")
     G = spike_gram(n_levels)
     L, _ = pivoted_cholesky(G)
+    table = np.ascontiguousarray(L.T)
     coords = tuple(
         ScalarWeight(
-            evaluator=_SpikeCoordEval(np.ascontiguousarray(L[:, m]), m),
+            evaluator=_SpikeCoordEval(table, m),
             sup_norm=float(np.max(np.abs(L[:, m]))),
             name=f"spike-coord-{m}",
         )

@@ -280,7 +280,7 @@ def test_main_reports_run_failures_on_one_line(failure, tmp_path, monkeypatch, c
 
     out = str(tmp_path / "run")
     if failure == "output":
-        out = str(tmp_path / "no-such-dir" / "x")
+        (tmp_path / "run.csv").mkdir()  # the CSV cannot be opened for writing
     else:
         def explode(_cfg):
             raise ValueError("inner failure")
@@ -290,6 +290,19 @@ def test_main_reports_run_failures_on_one_line(failure, tmp_path, monkeypatch, c
     printed = capsys.readouterr().out
     assert printed.startswith("error: ") and printed.count("\n") == 1
     assert (out + ".csv" if failure == "output" else "brick-check run failed") in printed
+
+
+def test_main_rejects_missing_output_directory_before_running(tmp_path, monkeypatch, capsys):
+    import silt.cli as cli_mod
+
+    runs = []
+    monkeypatch.setitem(cli_mod._PIPELINES, "converge", runs.append)
+    out = tmp_path / "no-such-dir" / "x"
+    assert main(["--subcommand", "converge", "--eps", "0.2", "--paths", "4",
+                 "--steps", "32", "--out", str(out)]) == 2
+    assert capsys.readouterr().out == (f"config error: output directory "
+                                       f"{str(out.parent)!r} does not exist\n")
+    assert runs == []
 
 
 def test_resolution_warning_fires_once_per_cli_run(tmp_path, recwarn):

@@ -1,5 +1,7 @@
 """Tests for the simplex functionals, renormalization, and Monte Carlo layer."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +150,19 @@ def test_underflowing_kernel_matches_dense_oracle(dtype, rtol):
         np.testing.assert_allclose(levels[0, :, e, 1:], oracle, rtol=rtol, atol=0)
 
 
+def test_translated_path_matches_dense_oracle():
+    # the sweep's Gram form subtracts squared norms of coordinates: an offset
+    # of 1e3 from the origin would cost it about six digits of every exponent
+    # if it did not centre each strip's coordinates first
+    n, eps = 3 * STRIP_ROWS + 5, [0.3, 0.05]
+    pts = sample_path_points(n, 13, [0]) + np.array([1e3, -1e3])
+    rho = 0.5 + np.random.default_rng(n).random((1, 3, n))
+    levels = simplex_levels(pts, rho, eps, 3)
+    for e, epsilon in enumerate(eps):
+        oracle = _dense_levels(pts[0], rho[0], epsilon, 3)
+        np.testing.assert_allclose(levels[0, :, e, 1:], oracle, rtol=1e-12, atol=0)
+
+
 def test_hilbert_levels_independent_of_workers():
     n = 3 * STRIP_ROWS + 5
     weight = rare_spike_weight(3).compose(RadialParameterMap(t_max=3.0))
@@ -164,6 +179,18 @@ def test_float32_levels_within_1e7_of_float64():
     a, b = (ensemble_renormalized(EnsembleConfig(n_paths=2, n_steps=4096, seed=5, workers=1,
                                                  dtype=dt), **kw).levels
             for dt in ("float32", "float64"))
+    assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(eps=st.floats(0.02, 0.3), data=st.data(), k=st.integers(2, 3),
+       stream=st.integers(0, 2**16), offset=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+def test_float32_levels_within_1e7_of_float64_on_resolved_grids(eps, data, k, stream, offset):
+    # the bound holds on grids with n >= 10 / eps wherever the path lies;
+    # coarser grids were measured up to 3.3e-7
+    n = data.draw(st.integers(math.ceil(10 / eps), 1024), label="n")
+    pts = sample_path_points(n, 11, [stream]) + np.array(offset)
+    a, b = (simplex_levels(pts, np.ones((1, 1, n)), [eps], k, dt) for dt in (np.float32, np.float64))
     assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-7
 
 

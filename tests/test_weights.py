@@ -130,6 +130,35 @@ def test_spike_parameter_domain_validation():
         rare_spike_weight(1)
 
 
+def test_spike_coordinates_evaluated_together_match_the_interpolation_formula():
+    # coordinate_values evaluates the composed spike coordinates in one pass;
+    # each value is (1 - frac) L[base - 1, m] + frac L[base, m], bit for bit
+    N = 7
+    w = rare_spike_weight(N).compose(RadialParameterMap(t_max=float(N)))
+    pts = np.random.default_rng(3).normal(scale=3.0, size=(500, 2))
+    vals = w.coordinate_values(pts)
+    t = RadialParameterMap(t_max=float(N))(pts)
+    base = np.clip(np.floor(t).astype(int), 1, N - 1)
+    frac = t - base
+    L = rare_spike_weight(N).coord_rows
+    for m in range(N):
+        assert np.array_equal(vals[m], (1.0 - frac) * L[base - 1, m] + frac * L[base, m])
+        assert np.array_equal(vals[m], w.coords[m].values(pts))
+
+
+def test_spike_coordinates_evaluated_together_keep_their_checks():
+    w = rare_spike_weight(5)
+    with pytest.raises(ValueError, match=r"must lie in \[1, 5\]"):
+        w.compose(RadialParameterMap(t_max=9.0)).coordinate_values(np.array([[6.0, 0.0]]))
+    coords = list(w.coords)
+    coords[2] = ScalarWeight(coords[2].evaluator, sup_norm=0.5 * coords[2].sup_norm,
+                             name="low-sup")
+    low = HilbertWeight(coords=tuple(coords), first_omitted_norm_sq=0.0, basis_label="x")
+    with pytest.raises(ValueError, match="weight low-sup exceeded its declared sup_norm"):
+        low.compose(RadialParameterMap(t_max=5.0)).coordinate_values(
+            np.c_[w.default_grid() - 1.0, np.zeros(w.default_grid().size)])
+
+
 def test_pivoted_cholesky_rank_deficiency():
     G = np.ones((3, 3))  # rank one
     with pytest.raises(RankDeficiencyError) as exc:
