@@ -75,6 +75,8 @@ class ExperimentConfig:
             problems.append(f"workers must be an integer or null, got {self.workers!r}")
         if ints.get("k", 1) < 1:
             problems.append(f"k must be >= 1, got {self.k}")
+        elif self.subcommand == "lemma-delta" and ints.get("k", 2) not in (2, 3):
+            problems.append("lemma-delta supports k = 2 or 3")
         entries = self.eps_list if isinstance(self.eps_list, (list, tuple)) else (None,)
         eps = tuple(_spec_number(entries, i, float) for i in range(len(entries)))
         if len(eps) == 0:
@@ -378,8 +380,7 @@ def _run_lemma_delta(cfg):
     F = builtin_maps()[cfg.weight_spec["map"]]
     phi = bump_function(center=_DELTA_POINT, radius=_DELTA_RADIUS)
     table = delta_family_check(phi, np.asarray(_DELTA_POINT), F, cfg.eps_list,
-                               k=min(cfg.k, 3) if cfg.k >= 2 else 2,
-                               n_nodes=cfg.quad_nodes)
+                               k=cfg.k, n_nodes=cfg.quad_nodes)
     rows = [ResultRow(subcommand=cfg.subcommand, k=cfg.k, epsilon=r.epsilon,
                       mean=r.value, oracle=r.target,
                       n_paths=cfg.n_paths, n_steps=cfg.n_steps, seed=cfg.seed)

@@ -195,6 +195,15 @@ def test_lemma_delta_rows(tmp_path):
     assert devs[0] > devs[1]
 
 
+def test_lemma_delta_k_problem_listed_with_the_others(tmp_path):
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(subcommand="lemma-delta", k=4, n_paths=1,
+                         weight_spec={"kind": "jacobian", "map": "shear"},
+                         output_path=str(tmp_path / "ld")).validate()
+    assert info.value.violations == ["lemma-delta supports k = 2 or 3",
+                                     "n_paths must be >= 2, got 1"]
+
+
 def test_upstream_errors_carry_context(tmp_path, monkeypatch):
     cfg = small_converge(tmp_path, name="boom")
     import silt.cli as cli_mod
@@ -334,13 +343,17 @@ def test_hilbert_multiple_eps_levels(tmp_path):
     ({"weight_spec": {"kind": "jacobian", "map": ["swirl"]}}, "jacobian weight needs a builtin"),
     ({"subcommand": "lemma-delta", "quad_nodes": 0, "weight_spec": {"kind": "jacobian", "map": "shear"}},
      "quad_nodes must be >= 1"),
+    ({"subcommand": "lemma-delta", "k": 1, "weight_spec": {"kind": "jacobian", "map": "shear"}},
+     "lemma-delta supports k = 2 or 3"),
+    ({"subcommand": "lemma-delta", "k": 4, "weight_spec": {"kind": "jacobian", "map": "shear"}},
+     "lemma-delta supports k = 2 or 3"),
     ({"subcommand": "brick-check",
       "weight_spec": {"kind": "occupation", "mc_samples": 150, "grid": [[0, 0], [1, 0]]}},
      "occupation grid must exclude the origin"),
     ({"subcommand": "brick-check", "weight_spec": {"kind": "occupation", "mc_samples": 150, "grid": "abc"}},
      "occupation grid must be a list of finite planar points"),
 ], ids=["seed", "k", "n_paths", "eps_list", "k-with-jacobian", "image-check-k1", "map-list",
-        "quad-nodes", "grid-origin", "grid-text"])
+        "quad-nodes", "lemma-delta-k1", "lemma-delta-k4", "grid-origin", "grid-text"])
 def test_main_reports_malformed_config_fields(fields, message, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"subcommand": "converge",

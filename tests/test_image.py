@@ -181,6 +181,43 @@ def test_delta_bump_k3_converges():
     assert rows[1].deviation <= 0.05 * rows[1].target
 
 
+def _nested_delta_k3(phi, v_k, F, epsilon_levels, n_nodes):
+    """The k = 3 delta-family sum as a literal loop over the outer nodes.
+
+    Every (outer, inner) node pair is evaluated on its own, phi on each planar
+    block of the stacked image points; no factorisation over pair sums.
+    """
+    nodes, wts = np.polynomial.hermite.hermgauss(n_nodes)
+    c = F.inverse(np.asarray(v_k, dtype=float)[None, :])[0]
+    N1, N2 = np.meshgrid(nodes, nodes, indexing="ij")
+    planar = np.stack([N1.ravel(), N2.ravel()], axis=1)
+    pw = np.outer(wts, wts).ravel()
+    values = []
+    for eps in epsilon_levels:
+        scale = np.sqrt(2.0 * eps)
+        u2 = c[None, :] + scale * planar
+        det2 = np.abs(F.jac_det(u2))
+        value = 0.0
+        for idx in range(u2.shape[0]):
+            u1 = u2[idx][None, :] + scale * planar
+            det1 = np.abs(F.jac_det(u1))
+            v = np.hstack([F.forward(u1), np.tile(F.forward(u2[idx][None, :]), (u1.shape[0], 1))])
+            integrand = phi(v[:, :2]) * phi(v[:, 2:])
+            value += pw[idx] * np.sum(pw * integrand * det2[idx] / det1) / np.pi
+        values.append(value / np.pi)
+    return values
+
+
+@pytest.mark.parametrize("n_nodes", [21, 41])
+@pytest.mark.parametrize("name", ["swirl", "shear"])
+def test_delta_k3_matches_nested_sum(name, n_nodes):
+    for phi in (bump_function(center=V, radius=1.5), constant_phi(2.5)):
+        rows = delta_family_check(phi, V, MAPS[name], [0.1, 0.01], k=3, n_nodes=n_nodes)
+        expected = _nested_delta_k3(phi, V, MAPS[name], [0.1, 0.01], n_nodes)
+        np.testing.assert_allclose([r.value for r in rows], expected, rtol=1e-13, atol=0)
+        assert all(r.target == phi(V[None, :])[0] ** 2 for r in rows)
+
+
 def test_delta_truncation_config_error():
     with pytest.raises(ConfigError, match="truncation"):
         delta_family_check(constant_phi(1.0), V, MAPS["identity"], [0.1], n_nodes=5)

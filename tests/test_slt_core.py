@@ -1,5 +1,6 @@
 """Tests for the simplex functionals, renormalization, and Monte Carlo layer."""
 
+import itertools
 import math
 
 import numpy as np
@@ -311,6 +312,59 @@ def test_estimate_matches_exact_lattice_mean():
     stats = estimate_renormalized(3000, n, 0.1, 2, UNIT, seed=55)
     lattice = lattice_mean_double(n, 0.1) + np.log(0.1) / (2 * np.pi)
     assert abs(stats.mean - lattice) <= 3 * stats.stderr
+
+
+def grid_level_means(n, epsilon, k):
+    """Exact means E[T_hat(eps, l)], l = 1..k, of the unit-weight grid functional.
+
+    Increments over disjoint cells are independent, so a node pair at gap d
+    has kernel mean h(d) = 1/(2 pi (eps + d/n)) and an ordered tuple the
+    product over its gaps.  With c_l the (l-1)-fold convolution of h over gaps
+    d >= 1 and n - D tuples of span D, E[T_hat(eps, l)] = n^-l sum_D (n - D) c_l(D).
+    """
+    d = np.arange(n)
+    h = np.zeros(n)
+    h[1:] = 1.0 / (2.0 * np.pi * (epsilon + d[1:] / n))
+    c = np.zeros(n)
+    c[0] = 1.0
+    means = []
+    for level in range(1, k + 1):
+        if level > 1:
+            c = np.convolve(c, h)[:n]
+        means.append(float(np.sum((n - d) * c) / n**level))
+    return means
+
+
+@pytest.mark.parametrize("n,eps", [(9, 0.3), (12, 0.05)])
+def test_grid_level_means_match_tuple_sum(n, eps):
+    def h(d):
+        return 1.0 / (2.0 * math.pi * (eps + d / n))
+
+    brute = []
+    for level in range(1, 5):
+        total = 0.0
+        for tup in itertools.combinations(range(n), level):
+            total += math.prod(h(b - a) for a, b in zip(tup, tup[1:]))
+        brute.append(total / n**level)
+    np.testing.assert_allclose(grid_level_means(n, eps, 4), brute, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n,eps", [(1024, 0.1), (1024, 0.02), (4096, 0.005)])
+def test_grid_double_mean_sits_one_over_4pi_n_eps_below_continuum(n, eps):
+    grid = grid_level_means(n, eps, 2)[1]
+    assert grid == pytest.approx(lattice_mean_double(n, eps), rel=1e-13)
+    gap = double_mean(eps) - grid
+    assert gap * 4.0 * np.pi * n * eps == pytest.approx(1.0, abs=0.01)
+
+
+@pytest.mark.parametrize("k,n,eps", [(3, 200, 0.05), (4, 128, 0.1)])
+def test_higher_levels_match_grid_exact_means(k, n, eps):
+    cfg = EnsembleConfig(n_paths=3000, n_steps=n, seed=31, workers=1, dtype="float64")
+    result = ensemble_renormalized(cfg, [eps], k, UNIT)
+    exact = grid_level_means(n, eps, k)
+    for level in range(2, k + 1):
+        stats = result.level_stats(level)
+        assert abs(stats.mean - exact[level - 1]) <= 3 * stats.stderr
 
 
 def test_mcstats_invariants():
