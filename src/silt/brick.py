@@ -14,6 +14,9 @@ import numpy as np
 from .exceptions import NotPositiveSemidefiniteError
 from .weights import CovarianceOracle
 
+#: Radii on the geometric grid of ``dudley_estimate``.
+DUDLEY_LEVELS = 32
+
 
 @dataclass(frozen=True)
 class Brick:
@@ -64,11 +67,12 @@ class FiniteCompact:
 
 @dataclass(frozen=True)
 class IsonormalSample:
-    """Joint Gaussian draws indexed by skeleton points, covariance = Gram matrix."""
+    """Joint Gaussian draws indexed by skeleton points, covariance = ``gram``."""
 
     points: np.ndarray
     draws: np.ndarray
     seed: int
+    gram: np.ndarray
 
     def __post_init__(self):
         if self.draws.shape[1] != self.points.shape[0]:
@@ -135,7 +139,8 @@ def isonormal_sample(skeleton, n_samples, seed, oracle: CovarianceOracle = None)
     ``oracle`` given, a plain array of index points whose Gram the oracle
     supplies.  The Gram is factored symmetrically; if the factorization fails,
     a diagonal jitter of 1e-10 * trace / M is added once.  An eigenvalue below
-    -1e-6 * trace signals a broken covariance and raises.
+    -1e-6 * trace signals a broken covariance and raises.  The sample keeps the
+    symmetrized Gram it was drawn with (without the jitter).
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
@@ -163,7 +168,7 @@ def isonormal_sample(skeleton, n_samples, seed, oracle: CovarianceOracle = None)
         L = np.linalg.cholesky(G + jitter * np.eye(M))
     rng = np.random.Generator(np.random.Philox(key=seed))
     Z = rng.standard_normal((int(n_samples), M))
-    return IsonormalSample(points=points, draws=Z @ L.T, seed=int(seed))
+    return IsonormalSample(points=points, draws=Z @ L.T, seed=int(seed), gram=G)
 
 
 def canonical_metric(gram) -> np.ndarray:
@@ -190,15 +195,16 @@ def _greedy_covering_number(dist, radius):
     return count
 
 
-def dudley_estimate(points: FiniteCompact, metric, n_levels=32) -> float:
+def dudley_estimate(points: FiniteCompact, metric) -> float:
     """Upper Riemann estimate of the entropy integral int sqrt(ln H_eps) d eps.
 
     Covering numbers H_eps come from a greedy net with centers restricted to
     the point set (first uncovered point in input order, closed balls) -- a
     2-approximation of the minimal net, so the value is an upper-bound
-    estimate.  The radius grid is geometric from the set diameter down to the
-    smallest positive pairwise distance; the remaining strip [0, d_min)
-    contributes d_min * sqrt(ln #distinct points) exactly.
+    estimate.  The radius grid is geometric, ``DUDLEY_LEVELS`` radii from the
+    set diameter down to the smallest positive pairwise distance; the
+    remaining strip [0, d_min) contributes d_min * sqrt(ln #distinct points)
+    exactly.
     """
     dist = np.asarray(metric, dtype=float)
     n = points.points.shape[0]
@@ -215,7 +221,7 @@ def dudley_estimate(points: FiniteCompact, metric, n_levels=32) -> float:
     diameter, d_min = float(off.max()), float(off.min())
     total = 0.0
     if diameter > d_min * (1 + 1e-12):
-        grid = np.geomspace(diameter, d_min, n_levels)
+        grid = np.geomspace(diameter, d_min, DUDLEY_LEVELS)
         for hi, lo in zip(grid[:-1], grid[1:]):
             H = _greedy_covering_number(dist, lo)
             total += math.sqrt(math.log(H)) * (hi - lo)

@@ -20,8 +20,7 @@ import numpy as np
 
 from . import __version__
 from .exceptions import ConfigError
-from .slt_core import (EnsembleConfig, check_resolution, ensemble_renormalized,
-                       renorm_double_mean, resolution_warning_once)
+from .slt_core import EnsembleConfig, ensemble_renormalized, renorm_double_mean
 from .path_sim import sample_path
 from .weights import (HilbertSltResult, RadialParameterMap, ScalarWeight,
                       coordinate_sup_profile, jacobian_weight, occupation_density_field,
@@ -73,6 +72,8 @@ class ExperimentConfig:
                 ints[name] = value
         if self.workers is not None and _spec_number(fields, "workers", int) != self.workers:
             problems.append(f"workers must be an integer or null, got {self.workers!r}")
+        elif self.workers is not None and self.workers < 1:
+            problems.append(f"workers must be >= 1, got {self.workers}")
         if ints.get("k", 1) < 1:
             problems.append(f"k must be >= 1, got {self.k}")
         elif self.subcommand == "lemma-delta" and ints.get("k", 2) not in (2, 3):
@@ -107,7 +108,6 @@ class ExperimentConfig:
             problems += self._validate_weight(ints.get("k"))
         if problems:
             raise ConfigError(problems)
-        check_resolution(self.n_steps, eps)
         return self
 
     def _validate_weight(self, k):
@@ -348,9 +348,9 @@ def _brick_check_occupation(cfg):
     spec = cfg.weight_spec
     grid = np.asarray(spec.get("grid", _DEFAULT_OCCUPATION_GRID), dtype=float)
     field_ = occupation_density_field(grid, int(spec["mc_samples"]), cfg.seed)
-    G = field_.covariance_matrix()
     sample = isonormal_sample(grid, max(cfg.n_paths, 2), cfg.seed + 1,
                               oracle=field_.oracle)
+    G = sample.gram
     metric = canonical_metric(G)
     dudley = dudley_estimate(FiniteCompact(points=grid), metric)
     emp = sample.empirical_covariance()
@@ -403,20 +403,20 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     Identical configs yield byte-identical files (timings are opt-in and
     excluded by default precisely to keep that contract).  A ConfigError
     raised by a pipeline propagates unchanged; any other failure is re-raised
-    as a RuntimeError naming the subcommand and scales.  The resolution
-    warning fires at most once per call.
+    as a RuntimeError naming the subcommand and scales.  A grid too coarse for
+    the smallest scale warns once per call, from the one ensemble that
+    ``converge``, ``hilbert`` and ``image-check`` sweep.
     """
-    with resolution_warning_once():
-        cfg.validate()
-        t0 = time.perf_counter()
-        try:
-            rows, extras = _PIPELINES[cfg.subcommand](cfg)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise RuntimeError(
-                f"{cfg.subcommand} run failed (eps_list={list(cfg.eps_list)}): {exc}"
-            ) from exc
+    cfg.validate()
+    t0 = time.perf_counter()
+    try:
+        rows, extras = _PIPELINES[cfg.subcommand](cfg)
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise RuntimeError(
+            f"{cfg.subcommand} run failed (eps_list={list(cfg.eps_list)}): {exc}"
+        ) from exc
     wall = time.perf_counter() - t0
     if cfg.timings:
         for row in rows:
@@ -472,48 +472,54 @@ def _parse_weight_flag(text):
 
 
 def build_parser():
+    """Flag parser; a flag that is not given stays out of the namespace, so every
+    default comes from ``ExperimentConfig``."""
     parser = argparse.ArgumentParser(
         prog="silt",
         description="Renormalized self-intersection local time experiments "
                     "for planar Brownian motion.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--subcommand", choices=SUBCOMMANDS)
-    parser.add_argument("--k", type=int, default=2)
-    parser.add_argument("--eps", type=float, nargs="+", default=[0.1, 0.05, 0.02],
+    parser.add_argument("--k", type=int)
+    parser.add_argument("--eps", type=float, nargs="+", dest="eps_list",
                         help="decreasing kernel scales")
-    parser.add_argument("--paths", type=int, default=10_000, dest="n_paths")
-    parser.add_argument("--steps", type=int, default=4096, dest="n_steps")
-    parser.add_argument("--seed", type=int, default=2024)
-    parser.add_argument("--weight", type=str, default="const:1.0",
+    parser.add_argument("--paths", type=int, dest="n_paths")
+    parser.add_argument("--steps", type=int, dest="n_steps")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--weight", type=str, dest="weight_spec",
                         help="const:C | jacobian:MAP | rare-spike:N | occupation:SAMPLES")
-    parser.add_argument("--out", type=str, default="silt_results", dest="output_path")
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--dtype", choices=("float32", "float64"), default="float32")
+    parser.add_argument("--out", type=str, dest="output_path")
+    parser.add_argument("--workers", type=int)
+    parser.add_argument("--dtype", choices=("float32", "float64"))
     parser.add_argument("--timings", action="store_true",
                         help="record wall times (breaks byte-identical reruns)")
-    parser.add_argument("--config", type=str, default=None,
+    parser.add_argument("--config", type=str,
                         help="JSON config file; overrides all flags")
     return parser
 
 
+def _flags_config(flags: dict) -> ExperimentConfig:
+    """The (unvalidated) config of the given flags, ``vars`` of a ``build_parser`` namespace."""
+    flags = dict(flags)
+    if "subcommand" not in flags:
+        raise ConfigError(["--subcommand is required (or use --config)"])
+    if "eps_list" in flags:
+        flags["eps_list"] = tuple(flags["eps_list"])
+    if "weight_spec" in flags:
+        flags["weight_spec"] = _parse_weight_flag(flags["weight_spec"])
+    return ExperimentConfig(**flags)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    flags = vars(build_parser().parse_args(argv))
     try:
-        with resolution_warning_once():
-            if args.config:
-                with open(args.config) as fh:
-                    cfg = parse_config(fh.read())
-            else:
-                if not args.subcommand:
-                    raise ConfigError(["--subcommand is required (or use --config)"])
-                cfg = ExperimentConfig(
-                    subcommand=args.subcommand, k=args.k, eps_list=tuple(args.eps),
-                    n_paths=args.n_paths, n_steps=args.n_steps, seed=args.seed,
-                    weight_spec=_parse_weight_flag(args.weight),
-                    output_path=args.output_path, workers=args.workers,
-                    dtype=args.dtype, timings=args.timings,
-                ).validate()
-            result = run_experiment(cfg)
+        if "config" in flags:
+            with open(flags["config"]) as fh:
+                cfg = parse_config(fh.read())
+        else:
+            cfg = _flags_config(flags).validate()
+        result = run_experiment(cfg)
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"config error: {violation}")

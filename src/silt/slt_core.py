@@ -20,7 +20,6 @@ O(k n^2) by the forward recursion S_{l+1}(j) = sum_{i<j} S_l(i) K_ij, which
 produces exactly the same sums as literal nested loops.
 """
 
-import contextvars
 import ctypes
 import functools
 import math
@@ -289,19 +288,24 @@ class EnsembleConfig:
             raise ValueError(f"n_paths must be >= 2, got {self.n_paths}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
 
     def resolved_workers(self):
         if self.workers is not None:
-            return max(1, int(self.workers))
+            return int(self.workers)
         env = os.environ.get(WORKERS_ENV_VAR)
         if env:
             try:
-                return max(1, int(env))
+                workers = int(env)
             except ValueError:
                 raise ConfigError([f"{WORKERS_ENV_VAR} must be an integer, "
                                    f"got {env!r}"]) from None
+            if workers < 1:
+                raise ConfigError([f"{WORKERS_ENV_VAR} must be >= 1, got {env!r}"])
+            return workers
         return os.cpu_count() or 1
 
 
@@ -326,27 +330,6 @@ class EnsembleResult:
         return MCStats.from_samples(self.levels[:, weight_index, eps_index, level - 1])
 
 
-# Inside ``resolution_warning_once``: a one-item list, True once the warning fired.
-_RESOLUTION_WARNED = contextvars.ContextVar("silt_resolution_warned", default=None)
-
-
-@contextmanager
-def resolution_warning_once():
-    """Let ``check_resolution`` warn at most once inside the block.
-
-    Nested blocks share the outermost one, so a CLI run that validates its
-    config twice and then runs ensembles warns once.
-    """
-    if _RESOLUTION_WARNED.get() is not None:
-        yield
-        return
-    token = _RESOLUTION_WARNED.set([False])
-    try:
-        yield
-    finally:
-        _RESOLUTION_WARNED.reset(token)
-
-
 def _outside_stacklevel():
     """``stacklevel`` at which the caller's warning names the first frame outside silt."""
     frame, level = sys._getframe(1), 1
@@ -363,11 +346,6 @@ def check_resolution(n_steps, eps_list):
     smallest = float(np.min(eps_list))
     if 1.0 / n_steps <= smallest / 10.0:
         return
-    warned = _RESOLUTION_WARNED.get()
-    if warned is not None:
-        if warned[0]:
-            return
-        warned[0] = True
     warnings.warn(
         f"grid spacing 1/{n_steps} exceeds eps/10 for eps={smallest:g}; "
         "the Riemann sum may under-resolve the kernel",

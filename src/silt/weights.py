@@ -1,6 +1,6 @@
 """Weight functions: scalar, Jacobian-induced, and Hilbert-valued.
 
-A Hilbert-valued weight is represented by finitely many coordinate functions
+A Hilbert-valued weight is one evaluator of finitely many coordinates
 u -> (rho(u), e_m) in a labeled orthonormal basis plus a declared number
 about the omitted coordinates, ``first_omitted_norm_sq`` (for the rare-spike
 weight, the squared norm of the first omitted level; it is no bound on the
@@ -37,6 +37,25 @@ class _ConstantEval:
         return np.full(pts.shape[0], self.value)
 
 
+def _checked(values, sups, name):
+    """``values`` after checking |values| <= ``sups`` along the last axis.
+
+    ``sups`` is one bound, or one per row of a 2-D ``values``; None skips the check.
+    """
+    if sups is None or values.size == 0:
+        return values
+    worst = np.maximum(np.max(values, axis=-1), -np.min(values, axis=-1))  # no |values| copy
+    over = np.ravel(worst > np.asarray(sups) * (1 + 1e-12) + 1e-300)
+    if over.any():
+        i = int(np.argmax(over))
+        where = f" coordinate {i}" if np.ndim(sups) else ""
+        raise ValueError(
+            f"weight {name or '<anonymous>'}{where} exceeded its declared sup_norm "
+            f"{np.ravel(sups)[i]:g} (observed {np.ravel(worst)[i]:g})"
+        )
+    return values
+
+
 @dataclass(frozen=True)
 class ScalarWeight:
     """Real-valued weight: a vectorized evaluator plus an optional declared sup bound.
@@ -51,17 +70,7 @@ class ScalarWeight:
 
     def values(self, pts):
         pts = np.asarray(pts, dtype=float)
-        return self._checked(np.asarray(self.evaluator(pts), dtype=float))
-
-    def _checked(self, out):
-        if self.sup_norm is not None:
-            worst = float(np.max(np.abs(out))) if out.size else 0.0
-            if worst > self.sup_norm * (1 + 1e-12) + 1e-300:
-                raise ValueError(
-                    f"weight {self.name or '<anonymous>'} exceeded its declared "
-                    f"sup_norm {self.sup_norm:g} (observed {worst:g})"
-                )
-        return out
+        return _checked(np.asarray(self.evaluator(pts), dtype=float), self.sup_norm, self.name)
 
     @staticmethod
     def constant(c, name=None):
@@ -96,7 +105,11 @@ class RadialParameterMap:
 
 @dataclass(frozen=True)
 class HilbertWeight:
-    """Hilbert-valued weight given by M coordinate functions in a labeled basis.
+    """Hilbert-valued weight: one evaluator for its M coordinates in a labeled basis.
+
+    ``evaluator`` maps an (m, d) array of points to the (M, m) array of
+    coordinate values; ``sup_norms`` holds the M declared bounds on their
+    absolute values (``inf`` declares none), checked on every evaluation.
 
     ``first_omitted_norm_sq`` is a declared nonnegative number about the
     omitted coordinates, reported alongside truncation diagnostics and never
@@ -106,51 +119,44 @@ class HilbertWeight:
     (sum over m > M of m^(-2/3)(1 - 1/m) is infinite).
     """
 
-    coords: tuple
+    evaluator: object
+    sup_norms: np.ndarray
     first_omitted_norm_sq: float
     basis_label: str
 
     def __post_init__(self):
-        if len(self.coords) < 1:
+        sups = np.array(self.sup_norms, dtype=float).reshape(-1)
+        if sups.size < 1:
             raise ValueError("a Hilbert weight needs at least one coordinate")
         if self.first_omitted_norm_sq < 0:
             raise ValueError("first_omitted_norm_sq must be >= 0")
-        object.__setattr__(self, "coords", tuple(self.coords))
+        sups.setflags(write=False)
+        object.__setattr__(self, "sup_norms", sups)
 
     @property
     def n_coords(self):
-        return len(self.coords)
+        return self.sup_norms.size
 
     def coordinate_values(self, pts):
-        """Matrix of coordinate values on a point set, shape (M, len(pts)); spike
-        coordinates behind one parameter map share each point's interpolation."""
+        """Matrix of coordinate values on a point set, shape (M, len(pts))."""
         pts = np.asarray(pts, dtype=float)
-        parts = [(ev.param_map, ev.inner) if isinstance(ev, _ComposedEval) else (None, ev)
-                 for ev in (c.evaluator for c in self.coords)]
-        param_map, first = parts[0]
-        if not all(p is param_map and isinstance(sp, _SpikeCoordEval)
-                   and sp.table is first.table for p, sp in parts):
-            return np.stack([c.values(pts) for c in self.coords])
-        ts = pts if param_map is None else param_map(pts)
-        vals = _SpikeCoordEval(first.table, [sp.m for _, sp in parts])(ts)
-        for c, row in zip(self.coords, vals):
-            c._checked(row)
-        return vals
+        vals = np.asarray(self.evaluator(pts), dtype=float)
+        if vals.shape != (self.n_coords, len(pts)):
+            raise ValueError(f"Hilbert weight {self.basis_label} evaluated to shape "
+                             f"{vals.shape}, expected {(self.n_coords, len(pts))}")
+        return _checked(vals, self.sup_norms, self.basis_label)
 
-    def compose(self, param_map, basis_label=None):
-        """Weight with every coordinate precomposed with ``param_map`` (new domain)."""
-        coords = tuple(
-            ScalarWeight(evaluator=_ComposedEval(c.evaluator, param_map),
-                         sup_norm=c.sup_norm, name=c.name)
-            for c in self.coords
-        )
-        return HilbertWeight(coords=coords, first_omitted_norm_sq=self.first_omitted_norm_sq,
-                             basis_label=basis_label or self.basis_label)
+    def compose(self, param_map):
+        """Weight with its coordinates precomposed with ``param_map`` (new domain)."""
+        return HilbertWeight(evaluator=_ComposedEval(self.evaluator, param_map),
+                             sup_norms=self.sup_norms,
+                             first_omitted_norm_sq=self.first_omitted_norm_sq,
+                             basis_label=self.basis_label)
 
 
 @dataclass(frozen=True)
 class CovarianceOracle:
-    """Pairwise inner-product oracle (u, v) -> (rho(u), rho(v)) for a random field."""
+    """Gram oracle of a random field: points (m, d) -> (m, m) matrix of (rho(u), rho(v))."""
 
     evaluator: object
     name: str = ""
@@ -160,12 +166,13 @@ class CovarianceOracle:
         diagonal and 2x2 principal minors (up to jitter tolerance)."""
         points = np.asarray(points, dtype=float)
         n = points.shape[0]
-        G = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                G[i, j] = G[j, i] = float(self.evaluator(points[i], points[j]))
+        G = np.asarray(self.evaluator(points), dtype=float)
+        if G.shape != (n, n):
+            raise ValueError(f"covariance oracle produced shape {G.shape}, expected {(n, n)}")
         scale = max(np.abs(G).max(), 1e-300)
         tol = 1e-8 * scale
+        if np.any(np.abs(G - G.T) > tol):
+            raise ValueError("covariance oracle produced an asymmetric Gram matrix")
         if np.any(np.diag(G) < -tol):
             raise ValueError("covariance oracle produced a negative diagonal entry")
         d = np.diag(G)
@@ -321,11 +328,10 @@ def pivoted_cholesky(G, tol=1e-12):
 
 @dataclass(frozen=True)
 class _SpikeCoordEval:
-    """Coordinate m (row m of ``table``, over spike variables 1..N) of the spike chain
-    interpolated linearly on the parameter domain [1, N]; a list m gives a row each."""
+    """Every coordinate (row of ``table``, over spike variables 1..N) of the spike
+    chain, interpolated linearly on the parameter domain [1, N]."""
 
     table: np.ndarray
-    m: object
 
     def __call__(self, ts):
         ts = np.asarray(ts, dtype=float).reshape(-1)
@@ -334,10 +340,10 @@ class _SpikeCoordEval:
             raise ValueError(f"parameter values must lie in [1, {N}]")
         base = np.clip(np.floor(ts).astype(int), 1, N - 1)
         frac = ts - base
-        out = np.empty((np.size(self.m), ts.size))
-        for row, m in zip(out, np.ravel(self.m)):  # row by row, to bound the scratch arrays
-            np.add((1.0 - frac) * self.table[m, base - 1], frac * self.table[m, base], out=row)
-        return out.reshape(np.shape(self.m) + ts.shape)
+        out = np.empty((self.table.shape[0], ts.size))
+        for row, coeffs in zip(out, self.table):  # row by row, to bound the scratch arrays
+            np.add((1.0 - frac) * coeffs[base - 1], frac * coeffs[base], out=row)
+        return out
 
 
 @dataclass(frozen=True)
@@ -371,17 +377,9 @@ def rare_spike_weight(n_levels) -> RareSpikeWeight:
         raise ValueError(f"n_levels must be >= 2, got {n_levels}")
     G = spike_gram(n_levels)
     L, _ = pivoted_cholesky(G)
-    table = np.ascontiguousarray(L.T)
-    coords = tuple(
-        ScalarWeight(
-            evaluator=_SpikeCoordEval(table, m),
-            sup_norm=float(np.max(np.abs(L[:, m]))),
-            name=f"spike-coord-{m}",
-        )
-        for m in range(n_levels)
-    )
     return RareSpikeWeight(
-        coords=coords,
+        evaluator=_SpikeCoordEval(np.ascontiguousarray(L.T)),
+        sup_norms=np.max(np.abs(L), axis=0),
         first_omitted_norm_sq=float((n_levels + 1) ** (-2.0 / 3.0)),
         basis_label=f"spike-gs-{n_levels}",
         gram_matrix=G,
@@ -424,28 +422,17 @@ class OccupationField:
     seed: int
     _z: np.ndarray = field(default=None, repr=False)
 
-    def _kernel_rows(self, points):
-        """f(p - z) for every point p and draw z: shape (len(points), mc_samples)."""
+    def _gram(self, points):
+        """Monte Carlo Gram matrix E rho1(u) rho1(v) over the shared draws, for all pairs."""
         pts = np.asarray(points, dtype=float)
         shifted = (pts[:, None, :] - self._z[None, :, :]).reshape(-1, 2)
-        return occupation_kernel(shifted).reshape(pts.shape[0], -1)
-
-    def covariance(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        fu, fv = self._kernel_rows(np.stack([u, v]))
-        envelope = math.exp(-float(u @ u) - float(v @ v))
-        return envelope * float(np.mean(fu * fv))
-
-    def covariance_matrix(self):
-        pts = self.grid
-        F = self._kernel_rows(pts)
+        F = occupation_kernel(shifted).reshape(pts.shape[0], -1)  # f(p - z), per point p
         env = np.exp(-np.sum(pts * pts, axis=1))
         return np.outer(env, env) * (F @ F.T) / self.mc_samples
 
     @property
     def oracle(self) -> CovarianceOracle:
-        return CovarianceOracle(evaluator=self.covariance, name="occupation-field")
+        return CovarianceOracle(evaluator=self._gram, name="occupation-field")
 
 
 def occupation_density_field(grid, mc_samples, seed) -> OccupationField:

@@ -158,7 +158,8 @@ def test_isonormal_deterministic_and_validated():
 
 
 def test_isonormal_rejects_indefinite_oracle():
-    broken = CovarianceOracle(evaluator=lambda u, v: -1.0 if not np.array_equal(u, v) else 0.1)
+    broken = CovarianceOracle(
+        evaluator=lambda pts: np.where(np.eye(len(pts), dtype=bool), 0.1, -1.0))
     with pytest.raises((NotPositiveSemidefiniteError, ValueError)):
         isonormal_sample(np.array([[0.0, 0.0], [1.0, 0.0]]), 100, seed=1, oracle=broken)
 
@@ -166,8 +167,7 @@ def test_isonormal_rejects_indefinite_oracle():
 def test_isonormal_oracle_route_matches_gram():
     w, sk = spike_skeleton()
     G = w.gram_matrix[:5, :5]
-    oracle = CovarianceOracle(
-        evaluator=lambda u, v: float(u @ v), name="dot")
+    oracle = CovarianceOracle(evaluator=lambda pts: pts @ pts.T, name="dot")
     sample = isonormal_sample(sk.points, 500, seed=4, oracle=oracle)
     direct = isonormal_sample(sk, 500, seed=4)
     np.testing.assert_allclose(sample.draws, direct.draws, atol=1e-12)
@@ -236,4 +236,5 @@ def test_brick_tail_bound_validation_and_sq_sum():
 def test_isonormal_sample_shape_validation():
     from silt import IsonormalSample
     with pytest.raises(ValueError):
-        IsonormalSample(points=np.zeros((3, 2)), draws=np.zeros((10, 2)), seed=0)
+        IsonormalSample(points=np.zeros((3, 2)), draws=np.zeros((10, 2)), seed=0,
+                        gram=np.eye(3))

@@ -8,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from silt import ConfigError, ExperimentConfig, parse_config, run_experiment
-from silt.cli import CSV_COLUMNS, config_to_json, main, _parse_weight_flag
+from silt import (ConfigError, EnsembleConfig, ExperimentConfig, parse_config,
+                  run_experiment)
+from silt.cli import (CSV_COLUMNS, build_parser, config_to_json, _flags_config, main,
+                      _parse_weight_flag)
 
 
 def small_converge(tmp_path, name="run", **over):
@@ -78,10 +80,42 @@ def test_weight_flag_parsing():
         _parse_weight_flag("mystery:1")
 
 
-def test_resolution_warning_on_validate():
-    with pytest.warns(RuntimeWarning, match="under-resolve"):
-        ExperimentConfig(subcommand="converge", n_steps=16, eps_list=(0.001,),
-                         n_paths=10).validate()
+def test_flag_defaults_are_the_config_defaults():
+    flags = vars(build_parser().parse_args(["--subcommand", "converge"]))
+    assert flags == {"subcommand": "converge"}
+    assert _flags_config(flags) == ExperimentConfig(subcommand="converge")
+
+
+def test_given_flags_reach_their_config_fields():
+    argv = ["--subcommand", "hilbert", "--k", "3", "--eps", "0.2", "0.1", "--paths", "7",
+            "--steps", "64", "--seed", "5", "--weight", "rare-spike:4", "--out", "x",
+            "--workers", "2", "--dtype", "float64", "--timings"]
+    cfg = _flags_config(vars(build_parser().parse_args(argv)))
+    assert cfg == ExperimentConfig(subcommand="hilbert", k=3, eps_list=(0.2, 0.1), n_paths=7,
+                                   n_steps=64, seed=5, output_path="x", workers=2,
+                                   dtype="float64", timings=True,
+                                   weight_spec={"kind": "rare-spike", "n_levels": 4})
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_main_rejects_worker_flags_below_one(workers, tmp_path, capsys):
+    code = main(["--subcommand", "converge", "--eps", "0.2", "--paths", "4", "--steps", "32",
+                 "--workers", workers, "--k", "0", "--out", str(tmp_path / "w")])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert f"config error: workers must be >= 1, got {workers}" in out
+    assert "k must be" in out  # collected with the other violations
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        EnsembleConfig(n_paths=4, n_steps=8, seed=1, workers=int(workers))
+
+
+def test_main_rejects_workers_env_below_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SILT_WORKERS", "0")
+    code = main(["--subcommand", "converge", "--eps", "0.2", "--paths", "4",
+                 "--steps", "32", "--out", str(tmp_path / "w")])
+    assert code == 2
+    assert capsys.readouterr().out == "config error: SILT_WORKERS must be >= 1, got '0'\n"
+    assert not os.path.exists(tmp_path / "w.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +355,15 @@ def test_resolution_warning_fires_once_per_cli_run(tmp_path, recwarn):
     warned = [w for w in recwarn if "under-resolve" in str(w.message)]
     assert len(warned) == 1
     assert warned[0].filename == __file__
+
+
+def test_no_resolution_warning_for_runs_that_sample_no_path(tmp_path, recwarn):
+    # lemma-delta and brick-check sample no path, so a coarse grid does not concern them
+    for subcommand, weight in (("lemma-delta", "jacobian:swirl"), ("brick-check", "rare-spike:5")):
+        code = main(["--subcommand", subcommand, "--weight", weight, "--eps", "0.01", "0.001",
+                     "--steps", "16", "--paths", "4", "--out", str(tmp_path / subcommand)])
+        assert code == 0
+    assert [str(w.message) for w in recwarn if "under-resolve" in str(w.message)] == []
 
 
 def test_hilbert_multiple_eps_levels(tmp_path):

@@ -9,14 +9,16 @@ from silt import (EnsembleConfig, HilbertSltResult, HilbertWeight,
                   RadialParameterMap, RankDeficiencyError, ScalarWeight,
                   SingularityError, coordinate_sup_profile, ensemble_renormalized,
                   estimate_renormalized, jacobian_weight, occupation_density_field,
-                  occupation_kernel, pivoted_cholesky, rare_spike_weight, spike_gram)
+                  occupation_kernel, pivoted_cholesky, rare_spike_weight,
+                  sample_path_points, spike_gram)
 from silt.image import affine_map, builtin_maps
 from silt.weights import _ConstantEval
 
 
 def const_coords_weight(values, first_omitted=0.0):
-    coords = [ScalarWeight.constant(v) for v in values]
-    return HilbertWeight(coords=tuple(coords), first_omitted_norm_sq=first_omitted,
+    values = np.asarray(values, dtype=float)
+    return HilbertWeight(evaluator=lambda pts: np.repeat(values[:, None], len(pts), axis=1),
+                         sup_norms=np.abs(values), first_omitted_norm_sq=first_omitted,
                          basis_label="test")
 
 
@@ -45,8 +47,8 @@ def test_profile_constant_coordinates():
 
 
 def test_profile_gaussian_coordinate_sup_at_origin():
-    coord = ScalarWeight.from_function(lambda u: np.exp(-np.sum(u * u, axis=-1)))
-    w = HilbertWeight(coords=(coord,), first_omitted_norm_sq=0.0, basis_label="g")
+    w = HilbertWeight(evaluator=lambda u: np.exp(-np.sum(u * u, axis=-1))[None, :],
+                      sup_norms=[np.inf], first_omitted_norm_sq=0.0, basis_label="g")
     grid = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, -0.5]])
     prof = coordinate_sup_profile(w, grid)
     assert prof.sup_squares[0] == 1.0
@@ -143,20 +145,24 @@ def test_spike_coordinates_evaluated_together_match_the_interpolation_formula():
     L = rare_spike_weight(N).coord_rows
     for m in range(N):
         assert np.array_equal(vals[m], (1.0 - frac) * L[base - 1, m] + frac * L[base, m])
-        assert np.array_equal(vals[m], w.coords[m].values(pts))
 
 
 def test_spike_coordinates_evaluated_together_keep_their_checks():
     w = rare_spike_weight(5)
     with pytest.raises(ValueError, match=r"must lie in \[1, 5\]"):
         w.compose(RadialParameterMap(t_max=9.0)).coordinate_values(np.array([[6.0, 0.0]]))
-    coords = list(w.coords)
-    coords[2] = ScalarWeight(coords[2].evaluator, sup_norm=0.5 * coords[2].sup_norm,
-                             name="low-sup")
-    low = HilbertWeight(coords=tuple(coords), first_omitted_norm_sq=0.0, basis_label="x")
-    with pytest.raises(ValueError, match="weight low-sup exceeded its declared sup_norm"):
+    sups = w.sup_norms.copy()
+    sups[2] *= 0.5
+    low = HilbertWeight(evaluator=w.evaluator, sup_norms=sups, first_omitted_norm_sq=0.0,
+                        basis_label="low-sup")
+    with pytest.raises(ValueError,
+                       match="weight low-sup coordinate 2 exceeded its declared sup_norm"):
         low.compose(RadialParameterMap(t_max=5.0)).coordinate_values(
             np.c_[w.default_grid() - 1.0, np.zeros(w.default_grid().size)])
+    short = HilbertWeight(evaluator=w.evaluator, sup_norms=w.sup_norms[:4],
+                          first_omitted_norm_sq=0.0, basis_label="short")
+    with pytest.raises(ValueError, match=r"short evaluated to shape \(5, 3\), expected \(4, 3\)"):
+        short.coordinate_values(np.array([1.0, 2.0, 3.0]))
 
 
 def test_pivoted_cholesky_rank_deficiency():
@@ -217,6 +223,23 @@ def test_hilbert_norm_partial_sums_nondecreasing_and_plateau():
     assert res.norm_sq_partial[-1] > 0
     final_inc = res.norm_sq_partial[-1] - res.norm_sq_partial[-2]
     assert final_inc <= max(res.coord_stats[-1].stderr, 1e-30)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_hilbert_spike_levels_match_each_coordinate_alone(dtype):
+    # non-constant coordinates: the coupled levels of each coordinate equal a scalar
+    # ensemble of that coordinate alone, up to the summation order of the level products
+    n_levels = 6
+    w = rare_spike_weight(n_levels).compose(RadialParameterMap(t_max=float(n_levels)))
+    cfg = EnsembleConfig(n_paths=8, n_steps=200, seed=26, workers=1, dtype=dtype)
+    nodes = sample_path_points(200, 26, range(8))[:, :200].reshape(-1, 2)
+    assert np.sum(np.ptp(w.coordinate_values(nodes), axis=1) > 0.5) == 3
+    coupled = ensemble_renormalized(cfg, [0.2, 0.1], 3, w).levels
+    scale = np.abs(coupled).max()  # measured worst deviation: 6.9e-17 of it
+    for m in range(n_levels):
+        alone = ScalarWeight.from_function(lambda pts, m=m: w.coordinate_values(pts)[m])
+        single = ensemble_renormalized(cfg, [0.2, 0.1], 3, alone).levels[:, 0]
+        np.testing.assert_allclose(coupled[:, m], single, rtol=0, atol=1e-15 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +306,24 @@ def test_occupation_field_validation():
 def test_occupation_covariance_gram_structure():
     grid = [(0.5, 0.0), (0.0, 0.7), (-0.6, 0.2), (0.3, -0.5), (-0.2, -0.4)]
     field = occupation_density_field(grid, 400, seed=11)
-    C = field.covariance_matrix()
+    C = field.oracle.gram(field.grid)
     np.testing.assert_allclose(C, C.T, atol=1e-15)
     assert np.linalg.eigvalsh(C)[0] >= -1e-8
-    # pointwise oracle agrees with the matrix entries (same shared draws)
+    # every entry is exp(-|u|^2 - |v|^2) times the mean of f(u - z) f(v - z) over the
+    # shared draws, pair by pair; and the oracle on a pair agrees with the matrix
     g = np.asarray(grid)
-    assert field.covariance(g[0], g[1]) == pytest.approx(C[0, 1], rel=1e-12)
+    for i, u in enumerate(g):
+        for j, v in enumerate(g):
+            pair = np.mean(occupation_kernel(u - field._z) * occupation_kernel(v - field._z))
+            assert C[i, j] == pytest.approx(np.exp(-u @ u - v @ v) * pair, rel=1e-12)
+    assert field.oracle.gram(g[:2])[0, 1] == pytest.approx(C[0, 1], rel=1e-12)
 
 
 def test_occupation_field_deterministic():
     a = occupation_density_field([(0.4, 0.1)], 300, seed=5)
     b = occupation_density_field([(0.4, 0.1)], 300, seed=5)
-    u, v = np.array([0.4, 0.1]), np.array([-0.3, 0.2])
-    assert a.covariance(u, v) == b.covariance(u, v)
+    uv = np.array([[0.4, 0.1], [-0.3, 0.2]])
+    assert np.array_equal(a.oracle.gram(uv), b.oracle.gram(uv))
 
 
 # ---------------------------------------------------------------------------
@@ -314,22 +342,33 @@ def test_constant_eval_is_picklable():
 def test_covariance_oracle_gram_validation():
     from silt import CovarianceOracle
 
-    ok = CovarianceOracle(evaluator=lambda u, v: float(u @ v))
+    ok = CovarianceOracle(evaluator=lambda pts: pts @ pts.T)
     pts = np.array([[1.0, 0.0], [0.0, 2.0]])
     G = ok.gram(pts)
     np.testing.assert_allclose(G, [[1.0, 0.0], [0.0, 4.0]])
 
-    neg_diag = CovarianceOracle(evaluator=lambda u, v: -1.0)
+    neg_diag = CovarianceOracle(evaluator=lambda pts: np.full((len(pts), len(pts)), -1.0))
     with pytest.raises(ValueError, match="diagonal"):
         neg_diag.gram(pts)
 
     bad_minor = CovarianceOracle(
-        evaluator=lambda u, v: 0.1 if np.array_equal(u, v) else 5.0)
+        evaluator=lambda pts: np.where(np.eye(len(pts), dtype=bool), 0.1, 5.0))
     with pytest.raises(ValueError, match="minor"):
         bad_minor.gram(pts)
 
+    asymmetric = CovarianceOracle(evaluator=lambda pts: np.triu(pts @ pts.T + 1.0))
+    with pytest.raises(ValueError, match="asymmetric"):
+        asymmetric.gram(pts)
+
+    wrong_shape = CovarianceOracle(evaluator=lambda pts: np.eye(len(pts) + 1))
+    with pytest.raises(ValueError, match="shape"):
+        wrong_shape.gram(pts)
+
 
 def test_occupation_covariance_diagonal_consistent():
+    # the diagonal is exp(-2 |u|^2) times the mean of f(u - z)^2 over the shared draws
     field = occupation_density_field([(0.5, 0.2)], 150, seed=2)
     u = np.array([0.5, 0.2])
-    assert field.covariance(u, u) == pytest.approx(field.covariance_matrix()[0, 0], rel=1e-12)
+    f = occupation_kernel(u - field._z)
+    direct = np.exp(-2.0 * float(u @ u)) * np.mean(f * f)
+    assert field.oracle.gram(field.grid)[0, 0] == pytest.approx(direct, rel=1e-12)
