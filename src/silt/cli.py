@@ -84,8 +84,8 @@ class ExperimentConfig:
             problems.append("eps_list must be nonempty")
         elif None in eps:
             problems.append(f"eps_list must be a list of numbers, got {self.eps_list!r}")
-        elif any(e <= 0 for e in eps):
-            problems.append("eps_list entries must be > 0")
+        elif not all(0 < e < np.inf for e in eps):
+            problems.append(f"eps_list entries must be finite and > 0, got {list(eps)}")
         elif any(b >= a for a, b in zip(eps, eps[1:])):
             problems.append("eps_list not strictly decreasing")
         if ints.get("n_paths", 2) < 2:

@@ -15,9 +15,10 @@ powers of (ln eps)/(2 pi); its eps -> 0 mean for k = 2 and unit weight is
 Equal nodes are excluded (strict ordering); including them would shift results
 by O(1/n) and is rejected for determinism.
 
-The chain structure of the integrand makes all levels l <= k computable in
-O(k n^2) by the forward recursion S_{l+1}(j) = sum_{i<j} S_l(i) K_ij, which
-produces exactly the same sums as literal nested loops.
+The weight enters each chain once, at its first node: level l is rho^T U^(l-1) 1
+with U = triu(K, 1).  On the time-reversed path U^(l-1) 1 is the weight-free
+recursion X_{l+1}(j) = sum_{i<j} X_l(i) K_ij, X_1 = 1, so all levels l <= k cost
+O(k n^2) for any number of weights, with the sums of literal nested loops.
 """
 
 import ctypes
@@ -51,8 +52,8 @@ def double_mean(epsilon):
     Verified against direct 2-D quadrature of the ordered-simplex integral of
     1/(2 pi (t2 - t1 + eps)).
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     return ((1.0 + epsilon) * np.log((1.0 + epsilon) / epsilon) - 1.0) / TWO_PI
 
 
@@ -71,8 +72,8 @@ class SimplexEstimate:
     n_steps: int
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and > 0")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not np.isfinite(self.value):
@@ -122,22 +123,24 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
         kernel work; Hilbert coordinates are coupled this way).
     eps_list : sequence of kernel scales, evaluated jointly.
     k : highest multiplicity.
-    dtype : np.float32 or np.float64 for kernel exponents and values; the
-        level sums S_l and their products with kernel values are float64.
+    dtype : np.float32 or np.float64 for kernel exponents and values and the
+        32-row strip products, which the float64 chain sums X_l accumulate.
         float32 rounds the strip-centred coordinates and exponents, the kernel
-        values and, at k = 2, the last level's 32-row products.  On grids with
-        n >= 10 / eps, levels agree with float64 to about 1e-8 relative per
-        entry at any offset of the path (tested to 1e-7 at offsets up to 1e3).
+        values and those products.  On grids with n >= 10 / eps, levels of
+        positive weights agree with float64 to about 1e-8 relative per entry
+        at any offset of the path (tested to 1e-7 at offsets up to 1e3).
 
-    The sweep takes, path by path, strips of ``STRIP_ROWS`` node rows i against
-    every column j >= i.  One matrix product gives every scale's exponents
-    -(a_i + a_j - 2 q_i.q_j) / (2 eps), with q = w - h, a = |q|^2 and h the
-    centre of the strip rows' bounding box; the sweep masks the pairs j <= i
-    and adds the strip's share of S_{l+1}(j) = sum_{i<j} S_l(i) K_ij to every
-    level as a matrix product.  No pair is skipped or approximated, except that
-    kernel values below e times the smallest normal number of ``dtype`` (3.2e-38
-    in float32) are raised to it, as subnormal exp results cost about ten times
-    a normal one on x86; values that small lie far below the sums' rounding.
+    The sweep runs on the time-reversed path with unit weight (see the module
+    docstring) and takes, path by path, strips of ``STRIP_ROWS`` node rows i
+    against every column j >= i.  One matrix product gives every scale's
+    exponents -(a_i + a_j - 2 q_i.q_j) / (2 eps), with q = w - h, a = |q|^2 and
+    h the centre of the strip rows' bounding box; the sweep masks the pairs
+    j <= i and adds the strip's share of X_{l+1}(j) = sum_{i<j} X_l(i) K_ij to
+    X, but contracts its share of X_k with the reversed weights at once.  No
+    pair is skipped or approximated, except that kernel values below e times
+    the smallest normal number of ``dtype`` (3.2e-38 in float32) are raised to
+    it, as subnormal exp results cost about ten times a normal one on x86;
+    values that small lie far below the sums' rounding.
 
     Returns
     -------
@@ -147,8 +150,8 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
     points = np.asarray(points, dtype=float)
     B, n = points.shape[0], points.shape[1] - 1
     eps = np.asarray(eps_list, dtype=float)
-    if np.any(eps <= 0):
-        raise ValueError("all epsilon values must be > 0")
+    if not np.all((eps > 0) & np.isfinite(eps)):
+        raise ValueError(f"all epsilon values must be finite and > 0, got {eps}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     rho_rows = np.asarray(rho_rows, dtype=float)
@@ -176,15 +179,14 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
     fK = np.empty(E * STRIP_ROWS * n, dtype=dt)  # flat scratch, sliced per strip
 
     for b in range(B):
-        # S[l - 1] holds the partial sums S_l(e, m, j) of path b for levels
-        # l < k; level 1 is rho itself.  When strip [i0, i1) is done, S_l is
-        # final on columns j < i1, so one pass over the strips serves every level.
-        S = np.zeros((k - 1, E, M, n))
-        S[0] = rho_rows[b]
-        rho, last = rho_rows[b].astype(dt), np.zeros((E, M))  # last: level-k sum
+        # X[l - 1, e, j]: kernel products summed over the reversed path's chains
+        # i_1 < ... < i_l = j, final on columns j < i1 once strip [i0, i1) is done
+        X = np.zeros((k - 1, E, n))
+        X[0] = 1.0
+        rrev, last = np.ascontiguousarray(rho_rows[b, :, ::-1]), np.zeros((E, 1, M))
         # strip s centres its coordinates on centres[s], or the Gram form would
         # lose digits to the path's offset; A holds every strip's row factors
-        xy = np.ascontiguousarray(points[b, :n].T)
+        xy = np.ascontiguousarray(points[b, n - 1::-1].T)
         centres = (np.minimum.reduceat(xy, starts, 1) + np.maximum.reduceat(xy, starts, 1)) / 2
         qi = xy - np.repeat(centres, STRIP_ROWS, axis=1)[:, :n]
         ai = np.einsum("dj,dj->j", qi, qi)
@@ -207,16 +209,14 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
                     np.maximum(K[e], exp_floor, out=K[e])
             np.exp(K, out=K)
             K[:, :, :r] *= upper[:r, :r]  # keep j > i only
-            if k == 2:
-                last += (rho[:, i0:i1] @ K).sum(axis=2, dtype=np.float64)
-                continue
-            K64 = K.astype(np.float64, copy=False)
+            # every hop is a dtype product over the strip's rows, summed in float64
             for l in range(1, k - 1):
-                S[l, :, :, i0:] += S[l - 1, :, :, i0:i1] @ K64
-            last += (S[k - 2, :, :, i0:i1] @ (K64 @ ones[i0:])[:, :, None])[:, :, 0]
-        for level in range(2, k):
-            out[b, :, :, level - 1] = S[level - 1].sum(axis=2).T
-        out[b, :, :, k - 1] = last.T
+                X[l, :, i0:] += (X[l - 1, :, None, i0:i1].astype(dt) @ K)[:, 0]
+            hop = X[k - 2, :, None, i0:i1].astype(dt) @ K
+            # one product per scale, as a product over all scales could round differently
+            last += np.matmul(hop, rrev[:, i0:].T, dtype=np.float64)
+        out[b, :, :, 1 : k - 1] = np.einsum("mj,lej->mel", rrev, X[1:])
+        out[b, :, :, k - 1] = last[:, 0].T
     for level in range(2, k + 1):
         out[:, :, :, level - 1] *= (1.0 / n) ** level / (TWO_PI * eps) ** (level - 1)
     return out
@@ -249,8 +249,8 @@ def dynkin_renormalize(t_values, epsilon, k=None):
         k = t.shape[-1]
     if t.shape[-1] != k:
         raise ValueError(f"expected {k} level values, got {t.shape[-1]}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     logfac = np.log(epsilon) / TWO_PI
     coeffs = np.array([math.comb(k - 1, l - 1) * logfac ** (k - l) for l in range(1, k + 1)])
     out = t @ coeffs
@@ -271,9 +271,9 @@ class EnsembleConfig:
     ``workers`` defaults to SILT_WORKERS, then the CPU count; it never affects
     numeric output (paths are keyed by index and reduced in fixed order).
     ``dtype`` ("float32" or "float64") is the precision of the sweep's centred
-    coordinates, exponents and kernel values, and of the k = 2 last level's
-    32-row products; on grids with n >= 10 / eps, level sums at both agree to
-    about 1e-8 relative at any path offset (tested to 1e-7; see simplex_levels).
+    coordinates, exponents and kernel values, and of every level's 32-row strip
+    products; on grids with n >= 10 / eps, level sums at both agree to about
+    1e-8 relative at any path offset (tested to 1e-7; see simplex_levels).
     """
 
     n_paths: int
@@ -427,8 +427,8 @@ def ensemble_renormalized(cfg: EnsembleConfig, eps_list, k, rho) -> EnsembleResu
     eps = np.asarray(eps_list, dtype=float)
     if eps.ndim == 0:
         eps = eps[None]
-    if np.any(eps <= 0):
-        raise ValueError("all epsilon values must be > 0")
+    if not np.all((eps > 0) & np.isfinite(eps)):
+        raise ValueError(f"all epsilon values must be finite and > 0, got {eps}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     check_resolution(cfg.n_steps, eps)

@@ -39,6 +39,13 @@ def test_parse_rejects_non_decreasing_eps():
         parse_config('{"subcommand": "converge", "eps_list": [0.1, 0.1]}')
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+def test_parse_rejects_non_finite_eps(entry):
+    with pytest.raises(ConfigError, match="finite and > 0") as exc:
+        parse_config(f'{{"subcommand": "converge", "eps_list": [0.1, {entry}], "k": 0}}')
+    assert len(exc.value.violations) == 2  # collected with the k violation
+
+
 def test_validation_collects_all_violations():
     with pytest.raises(ConfigError) as exc:
         parse_config('{"subcommand": "nope", "k": 0, "eps_list": [], "n_paths": 1}')
@@ -283,6 +290,15 @@ def test_main_reports_all_violations(capsys):
     out = capsys.readouterr().out
     assert "config error" in out
     assert "k must be" in out and "strictly decreasing" in out
+
+
+@pytest.mark.parametrize("eps", [["inf"], ["0.1", "nan"]])
+def test_main_rejects_non_finite_eps_before_running(eps, tmp_path, capsys):
+    code = main(["--subcommand", "converge", "--eps", *eps, "--paths", "4", "--steps", "32",
+                 "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "config error: eps_list entries must be finite and > 0" in capsys.readouterr().out
+    assert not os.listdir(tmp_path)
 
 
 @pytest.mark.parametrize("subcommand,weight", [("hilbert", "rare-spike:abc"),

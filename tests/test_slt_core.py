@@ -134,6 +134,32 @@ def test_strip_edges_match_dense_oracle(n, k):
         np.testing.assert_allclose(levels[0, :, e, 1:], oracle, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("n", [STRIP_ROWS - 1, STRIP_ROWS + 1, 3 * STRIP_ROWS + 5])
+def test_signed_weight_rows_match_dense_oracle(n, k):
+    # mixed signs cancel, so the rounding is bounded by the oracle of |rho|
+    pts = sample_path_points(n, 17, [0])
+    rho = np.random.default_rng(n).normal(size=(1, 3, n))
+    eps = [0.3, 0.05]
+    levels = simplex_levels(pts, rho, eps, k)
+    for e, epsilon in enumerate(eps):
+        oracle = _dense_levels(pts[0], rho[0], epsilon, k)
+        scale = _dense_levels(pts[0], np.abs(rho[0]), epsilon, k)
+        assert np.all(np.abs(levels[0, :, e, 1:] - oracle) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_scales_do_not_change_each_other(k, dtype):
+    # each scale's levels are bit for bit those of a sweep at that scale alone
+    n, eps = 3 * STRIP_ROWS + 5, [0.3, 0.05]
+    pts = sample_path_points(n, 13, [0, 1])
+    rho = 0.5 + np.random.default_rng(n).random((2, 3, n))
+    joint = simplex_levels(pts, rho, eps, k, dtype)
+    for e, epsilon in enumerate(eps):
+        assert np.array_equal(joint[:, :, e], simplex_levels(pts, rho, [epsilon], k, dtype)[:, :, 0])
+
+
 @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-4)])
 def test_underflowing_kernel_matches_dense_oracle(dtype, rtol):
     # at eps = 2e-4 the far pairs' kernel exponents lie below the sweep's
@@ -175,7 +201,8 @@ def test_hilbert_levels_independent_of_workers():
 
 
 def test_float32_levels_within_1e7_of_float64():
-    # unit weight at the pinned grid size; float32 rounds only the kernel values
+    # unit weight at the pinned grid size; float32 rounds the kernel values and
+    # every level's 32-row strip products
     kw = dict(eps_list=[0.1, 0.02], k=3, rho=UNIT)
     a, b = (ensemble_renormalized(EnsembleConfig(n_paths=2, n_steps=4096, seed=5, workers=1,
                                                  dtype=dt), **kw).levels
@@ -184,14 +211,16 @@ def test_float32_levels_within_1e7_of_float64():
 
 
 @settings(max_examples=40, deadline=None)
-@given(eps=st.floats(0.02, 0.3), data=st.data(), k=st.integers(2, 3),
+@given(eps=st.floats(0.02, 0.3), data=st.data(), k=st.integers(2, 4), m=st.integers(1, 4),
        stream=st.integers(0, 2**16), offset=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
-def test_float32_levels_within_1e7_of_float64_on_resolved_grids(eps, data, k, stream, offset):
-    # the bound holds on grids with n >= 10 / eps wherever the path lies;
-    # coarser grids were measured up to 3.3e-7
+def test_float32_levels_within_1e7_of_float64_on_resolved_grids(eps, data, k, m, stream, offset):
+    # the bound holds on grids with n >= 10 / eps wherever the path lies, for
+    # positive weights, except rare paths on grids within a few steps of 10 / eps
+    # at k >= 3 (up to 2.2e-7 measured, see README); coarser grids reach 3.3e-7
     n = data.draw(st.integers(math.ceil(10 / eps), 1024), label="n")
     pts = sample_path_points(n, 11, [stream]) + np.array(offset)
-    a, b = (simplex_levels(pts, np.ones((1, 1, n)), [eps], k, dt) for dt in (np.float32, np.float64))
+    rho = 0.5 + np.random.default_rng(stream).random((1, m, n))
+    a, b = (simplex_levels(pts, rho, [eps], k, dt) for dt in (np.float32, np.float64))
     assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-7
 
 
@@ -533,3 +562,20 @@ def test_simplex_levels_validation():
 def test_dynkin_epsilon_validation():
     with pytest.raises(ValueError):
         dynkin_renormalize([1.0, 2.0], 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_eps_rejected_by_every_route(bad):
+    from silt import SimplexEstimate
+    with pytest.raises(ValueError, match="finite and > 0"):
+        dynkin_renormalize([1.0, 2.0], bad)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        double_mean(bad)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        SimplexEstimate(value=0.0, k=2, epsilon=bad, n_steps=8)
+    pts = sample_path_points(8, 1, [0])
+    with pytest.raises(ValueError, match="finite and > 0"):
+        simplex_levels(pts, np.ones((1, 1, 8)), [0.1, bad], 2)
+    cfg = EnsembleConfig(n_paths=2, n_steps=8, seed=1, workers=1)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        ensemble_renormalized(cfg, [0.1, bad], 2, UNIT)
