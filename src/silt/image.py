@@ -173,11 +173,11 @@ class ImageIdentity:
 def image_slt(path: PlanarPath, F: Diffeomorphism, epsilon, k) -> ImageIdentity:
     """Image-path functional evaluated both ways.
 
-    Route (a) applies the adapted kernel to the image nodes F(w) (going
-    through the numeric forward and inverse maps); route (b) is the simplex
-    sum on the original path with the Jacobian weight.  They are the same
-    expression after substitution, so the residual is a numerical identity
-    check (inverse accuracy, rounding).
+    Route (a) sweeps the roundtrip nodes F^-1(F(w)) with the Jacobian weight;
+    route (b) sweeps the original nodes w with the same weight.  Neither
+    sweeps the image path F(w) itself, so the residual measures only how
+    closely the numeric inverse map undoes the forward map (plus rounding),
+    not the image construction.
     """
     if k < 2:
         raise ValueError(f"image functional needs k >= 2, got {k}")

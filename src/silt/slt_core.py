@@ -19,13 +19,28 @@ The weight enters each chain once, at its first node: level l is rho^T U^(l-1) 1
 with U = triu(K, 1).  On the time-reversed path U^(l-1) 1 is the weight-free
 recursion X_{l+1}(j) = sum_{i<j} X_l(i) K_ij, X_1 = 1, so all levels l <= k cost
 O(k n^2) for any number of weights, with the sums of literal nested loops.
+
+That recursion is one C kernel, ``_sweep.c``, which forms each kernel exponent
+from a float64 squared distance, exponentiates it with glibc's vector math
+library (libmvec) and feeds it to every level in the same pass.  Importing this
+module builds the kernel with ``COMPILER`` (gcc) for this CPU, or loads the
+build cached for this source, flags and CPU in the first usable per-user
+directory of $XDG_CACHE_HOME/silt, ~/.cache/silt and <tempdir>/silt-<uid>.  A
+failed build leaves the import working; ``simplex_levels`` then raises a
+RuntimeError that names the command and the tail of its stderr.
 """
 
 import ctypes
 import functools
+import hashlib
 import math
 import os
+import platform
+import shlex
+import stat
+import subprocess
 import sys
+import tempfile
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -113,6 +128,102 @@ def _as_weight_rows(rho, pts):
     return np.asarray(rho.values(flat), dtype=float).reshape(B, 1, n)
 
 
+#: C compiler that builds the kernel sweep ``_sweep.c`` at import
+COMPILER = "gcc"
+_SWEEP_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
+# IEEE semantics stay on (no -ffast-math): a NaN must reach the level sums
+_SWEEP_FLAGS = ("-O3", "-march=native", "-fno-math-errno", "-fno-trapping-math",
+                "-fopenmp-simd", "-shared", "-fPIC")
+_SWEEP_LIBS = ("-lmvec", "-lm")
+
+
+def _cache_dirs():
+    """Per-user directories for the compiled sweep, in the order they are tried."""
+    bases = [os.environ.get("XDG_CACHE_HOME", ""), os.path.expanduser("~/.cache")]
+    dirs = [os.path.join(base, "silt") for base in bases if os.path.isabs(base)]
+    return dirs + [os.path.join(tempfile.gettempdir(), f"silt-{os.getuid()}")]
+
+
+def _private_dir(path):
+    """Whether ``path`` is, or now is made, a directory this user owns and no one else writes."""
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        st = os.lstat(path)
+    except OSError:
+        return False
+    return stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid() and not st.st_mode & 0o022
+
+
+def _cpu_flags():
+    """The CPU's feature flags, which ``-march=native`` compiles for."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return next((line for line in fh if line.startswith("flags")), "")
+    except OSError:
+        return platform.machine()
+
+
+def _build_sweep(lib_path):
+    """Compile the sweep into a temporary file beside ``lib_path``, then move it there."""
+    tmp, cmd = None, [COMPILER]
+    try:
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(lib_path))
+        os.close(fd)
+        cmd = [COMPILER, *_SWEEP_FLAGS, _SWEEP_SOURCE, "-o", tmp, *_SWEEP_LIBS]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        if proc.returncode == 0:
+            os.replace(tmp, lib_path)
+            return
+    except OSError as exc:
+        raise RuntimeError(f"cannot build the kernel sweep: {shlex.join(cmd)}: {exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+    tail = " | ".join(proc.stderr.strip().splitlines()[-3:])
+    raise RuntimeError(f"building the kernel sweep failed (exit {proc.returncode}): "
+                       f"{shlex.join(cmd)}: {tail}")
+
+
+def _load_sweep():
+    """{dtype: compiled sweep}, built into the cache first unless a build for this
+    source, these flags and this CPU is there; a cache hit starts no process.
+
+    Raises RuntimeError naming a failed build command and the tail of its stderr.
+    """
+    try:
+        with open(_SWEEP_SOURCE, "rb") as fh:
+            source = fh.read()
+    except OSError as exc:
+        raise RuntimeError(f"cannot read the kernel sweep source: {exc}") from None
+    key = hashlib.sha256(b"\0".join([source, " ".join(_SWEEP_FLAGS + _SWEEP_LIBS).encode(),
+                                     _cpu_flags().encode()])).hexdigest()[:20]
+    dirs = _cache_dirs()
+    cache = next((d for d in dirs if _private_dir(d)), None)
+    if cache is None:
+        raise RuntimeError(f"no private cache directory for the kernel sweep among {dirs}")
+    lib_path = os.path.join(cache, f"sweep-{key}.so")
+    if not os.path.exists(lib_path):
+        _build_sweep(lib_path)
+    try:
+        lib = ctypes.CDLL(lib_path)
+    except OSError as exc:
+        raise RuntimeError(f"cannot load the kernel sweep: {exc}") from None
+    sweeps = {}
+    for dtype, name in ((np.float32, "sweep_float"), (np.float64, "sweep_double")):
+        fn = getattr(lib, name)
+        fn.argtypes = [ctypes.c_ssize_t] * 4 + [
+            np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")] * 4
+        fn.restype = ctypes.c_int
+        sweeps[np.dtype(dtype)] = fn
+    return sweeps
+
+
+try:
+    _SWEEP = _load_sweep()
+except RuntimeError as exc:
+    _SWEEP = exc  # raised by simplex_levels, so that the import itself succeeds
+
+
 def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
     """All simplex functionals T_hat(eps, l), l = 1..k, for a batch of paths.
 
@@ -123,24 +234,30 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
         kernel work; Hilbert coordinates are coupled this way).
     eps_list : sequence of kernel scales, evaluated jointly.
     k : highest multiplicity.
-    dtype : np.float32 or np.float64 for kernel exponents and values and the
-        32-row strip products, which the float64 chain sums X_l accumulate.
-        float32 rounds the strip-centred coordinates and exponents, the kernel
-        values and those products.  On grids with n >= 10 / eps, levels of
+    dtype : np.float32 or np.float64 for the kernel values and their sums over
+        a strip's 32 rows, which the float64 chain sums X_l accumulate.  Each
+        exponent is formed in float64 and then cast, so float32 rounds it once,
+        wherever the path lies.  On grids with n >= 10 / eps, levels of
         positive weights agree with float64 to about 1e-8 relative per entry
-        at any offset of the path (tested to 1e-7 at offsets up to 1e3).
+        (tested to 1e-7 at offsets up to 1e3; see README).
 
-    The sweep runs on the time-reversed path with unit weight (see the module
-    docstring) and takes, path by path, strips of ``STRIP_ROWS`` node rows i
-    against every column j >= i.  One matrix product gives every scale's
-    exponents -(a_i + a_j - 2 q_i.q_j) / (2 eps), with q = w - h, a = |q|^2 and
-    h the centre of the strip rows' bounding box; the sweep masks the pairs
-    j <= i and adds the strip's share of X_{l+1}(j) = sum_{i<j} X_l(i) K_ij to
-    X, but contracts its share of X_k with the reversed weights at once.  No
-    pair is skipped or approximated, except that kernel values below e times
-    the smallest normal number of ``dtype`` (3.2e-38 in float32) are raised to
-    it, as subnormal exp results cost about ten times a normal one on x86;
-    values that small lie far below the sums' rounding.
+    The sweep is the compiled kernel of the module docstring.  It runs on the
+    time-reversed path with unit weight and takes, path by path, strips of
+    ``STRIP_ROWS`` node rows i against the columns j > i, in one pass per
+    strip and scale: the exponent -|w_i - w_j|^2 / (2 eps) as a float64
+    product of the squared difference, cast to ``dtype``, then exp, then the
+    strip's share of X_{l+1}(j) = sum_{i<j} X_l(i) K_ij for every level.  The
+    strip's own 32 x 32 head square goes first, level by level, as level l+1
+    reads level l at the strip's rows.  Levels 2..k meet the reversed weights
+    in one float64 contraction per path.  No pair is skipped or approximated,
+    except that exponents below one above the log of the smallest normal
+    number of ``dtype`` are raised to it (kernel values of 3.2e-38 in
+    float32): libmvec's vector exp falls back to scalar code for inputs whose
+    result underflows, which made an unfloored float32 sweep up to 12 times
+    as slow at eps = 1e-3.  Values that small lie far below the sums'
+    rounding.  A NaN in the points
+    or weights reaches the levels it touches.  Raises RuntimeError when the
+    kernel could not be built.
 
     Returns
     -------
@@ -148,14 +265,18 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
     b, weight m, scale eps_list[e].
     """
     points = np.asarray(points, dtype=float)
+    if points.ndim != 3 or points.shape[2] != 2:
+        raise ValueError(f"points must have shape (B, n+1, 2), got {points.shape}")
     B, n = points.shape[0], points.shape[1] - 1
     eps = np.asarray(eps_list, dtype=float)
+    if np.dtype(dtype) not in (np.float32, np.float64):
+        raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
     if not np.all((eps > 0) & np.isfinite(eps)):
         raise ValueError(f"all epsilon values must be finite and > 0, got {eps}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     rho_rows = np.asarray(rho_rows, dtype=float)
-    if rho_rows.shape[0] != B or rho_rows.shape[2] != n:
+    if rho_rows.ndim != 3 or rho_rows.shape[0] != B or rho_rows.shape[2] != n:
         raise ValueError(f"rho_rows must have shape (B, M, {n})")
     M = rho_rows.shape[1]
     E = len(eps)
@@ -165,58 +286,12 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
     if k == 1:
         return out
 
-    dt = np.dtype(dtype)
-    cneg = -0.5 / eps
-    # the exponent products pair rows q_x, q_y, 1, 1, a (times coef[e]) with columns
-    # q_x, q_y, a, a, 1; coef[e, 3] carries what rounding cneg to dtype drops
-    coef = np.stack([-2 * cneg, -2 * cneg, cneg, cneg - cneg.astype(dt), cneg], axis=1)
-    # exponents are raised to this floor, reached beyond squared distance floor_reach
-    exp_floor = (np.log(np.finfo(dt).tiny) + 1.0).astype(dt)
-    floor_reach = [float(exp_floor / c) for c in cneg]
-    upper = np.triu(np.ones((STRIP_ROWS, STRIP_ROWS), dtype=dt), 1)
-    ones, starts = np.ones(n), np.arange(0, n, STRIP_ROWS)
-    Q, G = np.ones((5, n)), np.empty((5, n), dtype=dt)  # a strip's columns; G in dtype
-    fK = np.empty(E * STRIP_ROWS * n, dtype=dt)  # flat scratch, sliced per strip
-
-    for b in range(B):
-        # X[l - 1, e, j]: kernel products summed over the reversed path's chains
-        # i_1 < ... < i_l = j, final on columns j < i1 once strip [i0, i1) is done
-        X = np.zeros((k - 1, E, n))
-        X[0] = 1.0
-        rrev, last = np.ascontiguousarray(rho_rows[b, :, ::-1]), np.zeros((E, 1, M))
-        # strip s centres its coordinates on centres[s], or the Gram form would
-        # lose digits to the path's offset; A holds every strip's row factors
-        xy = np.ascontiguousarray(points[b, n - 1::-1].T)
-        centres = (np.minimum.reduceat(xy, starts, 1) + np.maximum.reduceat(xy, starts, 1)) / 2
-        qi = xy - np.repeat(centres, STRIP_ROWS, axis=1)[:, :n]
-        ai = np.einsum("dj,dj->j", qi, qi)
-        radii = np.sqrt(np.maximum.reduceat(ai, starts))  # of the strips' rows
-        A = (coef[:, None] * np.stack([*qi, ones, ones, ai], axis=1)).astype(dt)
-        for s, i0 in enumerate(starts):
-            i1 = min(i0 + STRIP_ROWS, n)
-            r, w = i1 - i0, n - i0
-            # strip of pairs (i, j), i in [i0, i1), j in [i0, n)
-            q, g = Q[:, :w], G[:, :w]
-            np.subtract(xy[:, i0:], centres[:, s, None], out=q[:2])
-            np.einsum("dj,dj->j", q[:2], q[:2], out=q[2])
-            q[3] = q[2]
-            np.copyto(g, q)
-            K = fK[: E * r * w].reshape(E, r, w)
-            np.matmul(A[:, i0:i1].reshape(E * r, 5), g, out=K.reshape(E * r, w))
-            reach = (radii[s] + math.sqrt(q[2].max())) ** 2  # >= every |q_j - q_i|^2
-            for e in range(E):
-                if reach > floor_reach[e]:
-                    np.maximum(K[e], exp_floor, out=K[e])
-            np.exp(K, out=K)
-            K[:, :, :r] *= upper[:r, :r]  # keep j > i only
-            # every hop is a dtype product over the strip's rows, summed in float64
-            for l in range(1, k - 1):
-                X[l, :, i0:] += (X[l - 1, :, None, i0:i1].astype(dt) @ K)[:, 0]
-            hop = X[k - 2, :, None, i0:i1].astype(dt) @ K
-            # one product per scale, as a product over all scales could round differently
-            last += np.matmul(hop, rrev[:, i0:].T, dtype=np.float64)
-        out[b, :, :, 1 : k - 1] = np.einsum("mj,lej->mel", rrev, X[1:])
-        out[b, :, :, k - 1] = last[:, 0].T
+    if isinstance(_SWEEP, RuntimeError):
+        raise RuntimeError(*_SWEEP.args)
+    sweep, points, cneg = _SWEEP[np.dtype(dtype)], np.ascontiguousarray(points), -0.5 / eps
+    for b in range(B):  # a path at a time, so only one path's weight rows are ever copied
+        if sweep(n, M, E, k, points[b], np.ascontiguousarray(rho_rows[b]), cneg, out[b]) != 0:
+            raise MemoryError("no scratch memory for the kernel sweep")
     for level in range(2, k + 1):
         out[:, :, :, level - 1] *= (1.0 / n) ** level / (TWO_PI * eps) ** (level - 1)
     return out
@@ -270,10 +345,11 @@ class EnsembleConfig:
 
     ``workers`` defaults to SILT_WORKERS, then the CPU count; it never affects
     numeric output (paths are keyed by index and reduced in fixed order).
-    ``dtype`` ("float32" or "float64") is the precision of the sweep's centred
-    coordinates, exponents and kernel values, and of every level's 32-row strip
-    products; on grids with n >= 10 / eps, level sums at both agree to about
-    1e-8 relative at any path offset (tested to 1e-7; see simplex_levels).
+    ``dtype`` ("float32" or "float64") is the precision of the sweep's kernel
+    values and of their sums over a strip's 32 rows; exponents are formed in
+    float64 and cast to it.  On grids with n >= 10 / eps, level sums at both
+    agree to about 1e-8 relative at any path offset (tested to 1e-7; see
+    simplex_levels).
     """
 
     n_paths: int

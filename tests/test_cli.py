@@ -351,6 +351,24 @@ def test_main_reports_run_failures_on_one_line(failure, tmp_path, monkeypatch, c
     assert (out + ".csv" if failure == "output" else "brick-check run failed") in printed
 
 
+def test_missing_compiler_fails_the_run_not_the_import(tmp_path, monkeypatch, capsys):
+    import silt.slt_core as slt_core
+
+    compiler = str(tmp_path / "no-such-gcc")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(slt_core, "COMPILER", compiler)
+    with pytest.raises(RuntimeError) as failed:
+        slt_core._load_sweep()
+    monkeypatch.setattr(slt_core, "_SWEEP", failed.value)
+    code = main(["--subcommand", "converge", "--eps", "0.2", "--paths", "4", "--steps", "64",
+                 "--workers", "1", "--out", str(tmp_path / "run")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("error: converge run failed") and captured.out.count("\n") == 1
+    assert compiler in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_main_rejects_missing_output_directory_before_running(tmp_path, monkeypatch, capsys):
     import silt.cli as cli_mod
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import subprocess
 
 import numpy as np
 import pytest
@@ -178,9 +179,9 @@ def test_underflowing_kernel_matches_dense_oracle(dtype, rtol):
 
 
 def test_translated_path_matches_dense_oracle():
-    # the sweep's Gram form subtracts squared norms of coordinates: an offset
-    # of 1e3 from the origin would cost it about six digits of every exponent
-    # if it did not centre each strip's coordinates first
+    # the sweep forms each exponent from the coordinate differences, so an
+    # offset of 1e3 from the origin costs no digits; a Gram form on raw
+    # coordinates would lose about six digits of every exponent to it
     n, eps = 3 * STRIP_ROWS + 5, [0.3, 0.05]
     pts = sample_path_points(n, 13, [0]) + np.array([1e3, -1e3])
     rho = 0.5 + np.random.default_rng(n).random((1, 3, n))
@@ -221,6 +222,17 @@ def test_float32_levels_within_1e7_of_float64_on_resolved_grids(eps, data, k, m,
     pts = sample_path_points(n, 11, [stream]) + np.array(offset)
     rho = 0.5 + np.random.default_rng(stream).random((1, m, n))
     a, b = (simplex_levels(pts, rho, [eps], k, dt) for dt in (np.float32, np.float64))
+    assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-7
+
+
+def test_float32_levels_within_1e7_of_float64_on_a_smallest_grid():
+    # a draw of the property above with n = ceil(10 / eps) at k = 4, seed 11:
+    # float32 Gram-form exponents put level 4 at 1.3e-7 from float64, the
+    # float64 difference form at 2.3e-8
+    eps, n, stream = 0.25912253997571666, 39, 3323
+    pts = sample_path_points(n, 11, [stream])
+    rho = 0.5 + np.random.default_rng(stream).random((1, 2, n))
+    a, b = (simplex_levels(pts, rho, [eps], 4, dt) for dt in (np.float32, np.float64))
     assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-7
 
 
@@ -451,6 +463,23 @@ def test_blas_guard_without_openblas_is_noop(monkeypatch):
     monkeypatch.setattr(slt_core, "_openblas_thread_controls", lambda: ())
     plain = ensemble_renormalized(cfg, [0.2], 2, UNIT)
     assert np.array_equal(guarded.levels, plain.levels)
+
+
+def test_warm_cache_load_starts_no_compiler(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    slt_core._load_sweep()  # builds into the empty cache
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a warm cache started the compiler")
+
+    monkeypatch.setattr(subprocess, "run", no_process)
+    warm = slt_core._load_sweep()
+    assert (tmp_path / "silt").stat().st_mode & 0o777 == 0o700
+    assert [p.suffix for p in (tmp_path / "silt").iterdir()] == [".so"]
+    pts, rho = sample_path_points(40, 2, [0]), np.ones((1, 1, 40))
+    expected = simplex_levels(pts, rho, [0.3], 3)
+    monkeypatch.setattr(slt_core, "_SWEEP", warm)
+    assert np.array_equal(simplex_levels(pts, rho, [0.3], 3), expected)
 
 
 def test_nonfinite_weight_names_first_bad_path():
