@@ -41,12 +41,12 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-import multiprocessing
 import numpy as np
 
 from .exceptions import ConfigError
@@ -256,8 +256,9 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
     result underflows, which made an unfloored float32 sweep up to 12 times
     as slow at eps = 1e-3.  Values that small lie far below the sums'
     rounding.  A NaN in the points
-    or weights reaches the levels it touches.  Raises RuntimeError when the
-    kernel could not be built.
+    or weights reaches the levels it touches.  Raises ValueError for a path
+    of fewer than two nodes (n = 0) and RuntimeError when the kernel could
+    not be built.
 
     Returns
     -------
@@ -268,6 +269,8 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
     if points.ndim != 3 or points.shape[2] != 2:
         raise ValueError(f"points must have shape (B, n+1, 2), got {points.shape}")
     B, n = points.shape[0], points.shape[1] - 1
+    if n < 1:
+        raise ValueError(f"a path needs at least 2 nodes, got points of shape {points.shape}")
     eps = np.asarray(eps_list, dtype=float)
     if np.dtype(dtype) not in (np.float32, np.float64):
         raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
@@ -343,8 +346,10 @@ WORKERS_ENV_VAR = "SILT_WORKERS"
 class EnsembleConfig:
     """Shape of a Monte Carlo ensemble run.
 
-    ``workers`` defaults to SILT_WORKERS, then the CPU count; it never affects
-    numeric output (paths are keyed by index and reduced in fixed order).
+    ``workers`` is the number of threads that sweep batches of
+    ``batch_size`` paths in this process; it defaults to SILT_WORKERS, then
+    the CPU count, and never affects numeric output (paths are keyed by index
+    and reduced in fixed order).
     ``dtype`` ("float32" or "float64") is the precision of the sweep's kernel
     values and of their sums over a strip's 32 rows; exponents are formed in
     float64 and cast to it.  On grids with n >= 10 / eps, level sums at both
@@ -465,9 +470,9 @@ def _openblas_thread_controls():
 def _one_blas_thread():
     """Run the block with OpenBLAS on one thread, then restore the previous counts.
 
-    Workers forked inside the block inherit the setting.  They already fill
-    the cores, so a multi-threaded BLAS in each of them would oversubscribe
-    the machine.
+    The setting is process-wide, so the ensemble's worker threads share it.
+    They already fill the cores, so a multi-threaded BLAS under a weight
+    function or a diagnostic product would oversubscribe the machine.
     """
     controls = _openblas_thread_controls()
     saved = [get() for get, _ in controls]
@@ -480,24 +485,17 @@ def _one_blas_thread():
             put(count)
 
 
-_POOL_JOB = None
-
-
-def _pool_worker(path_range):
-    cfg, eps, k, rho, dtype = _POOL_JOB
-    lo, hi = path_range
-    pts = sample_path_points(cfg.n_steps, cfg.seed, range(lo, hi))
-    rows = _as_weight_rows(rho, pts)
-    return lo, simplex_levels(pts, rows, eps, k, dtype=dtype)
-
-
 def ensemble_renormalized(cfg: EnsembleConfig, eps_list, k, rho) -> EnsembleResult:
     """Coupled ensemble of renormalized functionals over a list of kernel scales.
 
     Every path is evaluated at all scales (and all Hilbert coordinates of
     ``rho``, when it has them) on shared kernel sweeps, so cross-scale and
-    cross-coordinate differences are coupled estimates.  Deterministic given
-    the config seed, independently of workers and batch size.  Raises
+    cross-coordinate differences are coupled estimates.  Batches of paths run
+    on ``cfg.resolved_workers()`` threads of this process, which overlap in
+    the compiled sweep: its ctypes call releases the GIL.  Deterministic given
+    the config seed, independently of workers and batch size.  A batch that
+    raises (or an interrupt) cancels the batches not yet started, and the
+    error reaches the caller once the running ones have finished.  Raises
     ValueError naming the first path whose level sums are not finite.
     """
     eps = np.asarray(eps_list, dtype=float)
@@ -512,33 +510,29 @@ def ensemble_renormalized(cfg: EnsembleConfig, eps_list, k, rho) -> EnsembleResu
 
     ranges = [(lo, min(lo + cfg.batch_size, cfg.n_paths))
               for lo in range(0, cfg.n_paths, cfg.batch_size)]
-    workers = cfg.resolved_workers()
+
+    failed = threading.Event()
+
+    def batch(path_range):
+        if failed.is_set():  # never stored: the caller meets the earlier failure first
+            return None
+        try:
+            pts = sample_path_points(cfg.n_steps, cfg.seed, range(*path_range))
+            return simplex_levels(pts, _as_weight_rows(rho, pts), eps, k, dtype=dtype)
+        except BaseException:
+            failed.set()  # a thread takes its next batch before the caller can cancel it
+            raise
 
     levels = None
-
-    def _store(lo, block):
-        nonlocal levels
-        if levels is None:
-            M = block.shape[1]
-            levels = np.empty((cfg.n_paths, M, len(eps), k))
-        levels[lo : lo + block.shape[0]] = block
-
-    global _POOL_JOB
-    _POOL_JOB = (cfg, eps, k, rho, dtype)
-    forked = workers > 1 and len(ranges) > 1 and "fork" in multiprocessing.get_all_start_methods()
-    # forked workers inherit the one-thread setting and never change it
     with _one_blas_thread():
+        pool = ThreadPoolExecutor(max_workers=cfg.resolved_workers())
         try:
-            if forked:
-                ctx = multiprocessing.get_context("fork")
-                with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-                    for lo, block in pool.map(_pool_worker, ranges):
-                        _store(lo, block)
-            else:
-                for rng in ranges:
-                    _store(*_pool_worker(rng))
+            for (lo, hi), block in zip(ranges, pool.map(batch, ranges)):
+                if levels is None:
+                    levels = np.empty((cfg.n_paths, *block.shape[1:]))
+                levels[lo:hi] = block
         finally:
-            _POOL_JOB = None
+            pool.shutdown(cancel_futures=True)
 
     finite = np.isfinite(levels).reshape(cfg.n_paths, -1).all(axis=1)
     if not finite.all():

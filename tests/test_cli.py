@@ -195,6 +195,39 @@ def test_brick_check_rows(tmp_path):
     assert result.extras["contained"]
 
 
+@pytest.mark.parametrize("subcommand,spec,spied", [
+    ("brick-check", {"kind": "rare-spike", "n_levels": 8}, "canonical_metric"),
+    ("brick-check", {"kind": "occupation", "mc_samples": 150}, "isonormal_sample"),
+    ("lemma-delta", {"kind": "jacobian", "map": "shear"}, "delta_family_check"),
+])
+def test_diagnostics_run_on_one_blas_thread_and_restore(subcommand, spec, spied, tmp_path,
+                                                         monkeypatch):
+    import silt.cli as cli
+    from silt.slt_core import _openblas_thread_controls
+
+    controls, seen = _openblas_thread_controls(), []
+    original = getattr(cli, spied)
+
+    def spy(*args, **kwargs):
+        seen.append([get() for get, _ in controls])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, spied, spy)
+    before = [get() for get, _ in controls]
+    for _, put in controls:
+        put(2)
+    try:
+        cfg = ExperimentConfig(subcommand=subcommand, n_paths=50, n_steps=16,
+                               eps_list=(0.1,), seed=3, weight_spec=spec,
+                               output_path=str(tmp_path / "blas")).validate()
+        run_experiment(cfg)
+        assert seen == [[1] * len(controls)]
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, put), count in zip(controls, before):
+            put(count)
+
+
 def test_brick_check_occupation(tmp_path):
     cfg = ExperimentConfig(subcommand="brick-check", n_paths=400, n_steps=16,
                            eps_list=(0.1,), seed=3,

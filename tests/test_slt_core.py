@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import os
 import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -445,7 +448,7 @@ def test_sweep_runs_on_one_blas_thread_and_restores(workers, monkeypatch):
     sweep = slt_core.simplex_levels
 
     def spy(*args, **kwargs):
-        # raised inside a forked worker, this reaches the caller through the pool
+        # raised inside a worker thread, this reaches the caller through the pool
         counts = [get() for get, _ in controls]
         if counts != [1] * len(controls):
             raise AssertionError(f"sweep ran with BLAS thread counts {counts}")
@@ -455,6 +458,45 @@ def test_sweep_runs_on_one_blas_thread_and_restores(workers, monkeypatch):
     cfg = EnsembleConfig(n_paths=4, n_steps=64, seed=1, workers=workers, batch_size=2)
     ensemble_renormalized(cfg, [0.2], 2, UNIT)
     assert [get() for get, _ in controls] == before
+
+
+def test_parallel_ensemble_starts_no_process(monkeypatch):
+    def no_fork():
+        raise AssertionError("the ensemble forked a process")
+
+    kw = dict(eps_list=[0.2, 0.1], k=3,
+              rho=rare_spike_weight(4).compose(RadialParameterMap(t_max=4.0)))
+    serial = ensemble_renormalized(
+        EnsembleConfig(n_paths=12, n_steps=64, seed=3, workers=1, batch_size=1), **kw)
+    monkeypatch.setattr(os, "fork", no_fork)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches inside each batch
+    try:
+        parallel = [ensemble_renormalized(
+            EnsembleConfig(n_paths=12, n_steps=64, seed=3, workers=workers, batch_size=1), **kw)
+            for workers in (2, 5)]
+    finally:
+        sys.setswitchinterval(interval)
+    for result in parallel:
+        assert np.array_equal(serial.levels, result.levels)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_batch_cancels_the_queued_ones(workers):
+    calls, lock, error = [], threading.Lock(), RuntimeError("weight failed")
+
+    def failing(pts):
+        with lock:
+            calls.append(len(pts))
+            if len(calls) == 1:
+                raise error
+        return np.ones(len(pts))
+
+    cfg = EnsembleConfig(n_paths=200, n_steps=64, seed=1, workers=workers, batch_size=2)
+    with pytest.raises(RuntimeError) as info:
+        ensemble_renormalized(cfg, [0.2], 2, ScalarWeight.from_function(failing))
+    assert info.value is error
+    assert 1 <= len(calls) <= workers
 
 
 def test_blas_guard_without_openblas_is_noop(monkeypatch):
@@ -586,6 +628,8 @@ def test_simplex_levels_validation():
         simplex_levels(pts, good, [0.0], 2)
     with pytest.raises(ValueError):
         simplex_levels(pts, good, [0.1], 0)
+    with pytest.raises(ValueError, match="at least 2 nodes"):  # a one-node path: n = 0
+        simplex_levels(np.zeros((1, 1, 2)), np.ones((1, 1, 0)), [0.1], 2)
 
 
 def test_dynkin_epsilon_validation():
