@@ -33,7 +33,9 @@ float expf(float);
 #pragma omp declare simd notinbranch
 double exp(double);
 
-#define STRIP 32 /* slt_core.STRIP_ROWS */
+#ifndef STRIP /* rows per strip: slt_core passes -DSTRIP=<STRIP_ROWS> */
+#error "STRIP is undefined; build with -DSTRIP=<slt_core.STRIP_ROWS>"
+#endif
 #define TILE 512
 #define CAT_(a, b) a##_##b
 #define CAT(a, b) CAT_(a, b)

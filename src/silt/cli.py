@@ -14,7 +14,7 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, fields
 
 import numpy as np
 
@@ -31,9 +31,6 @@ from .image import builtin_maps, bump_function, delta_family_check, image_slt
 
 SUBCOMMANDS = ("converge", "hilbert", "brick-check", "image-check", "lemma-delta")
 WEIGHT_KINDS = ("constant", "jacobian", "rare-spike", "occupation")
-
-CSV_COLUMNS = ("subcommand", "k", "epsilon", "mean", "stderr", "m1", "m2", "m4",
-               "oracle", "dev_stderr", "n_paths", "n_steps", "seed", "wall_time_s")
 
 _DEFAULT_OCCUPATION_GRID = ((0.5, 0.0), (0.0, 0.7), (-0.6, 0.2), (0.3, -0.5), (-0.2, -0.4))
 _DELTA_POINT = (0.3, -0.1)
@@ -62,15 +59,16 @@ class ExperimentConfig:
         problems = []
         if self.subcommand not in SUBCOMMANDS:
             problems.append(f"unknown subcommand {self.subcommand!r}")
-        fields = vars(self)
+        given = vars(self)
         ints = {}
         for name in ("k", "n_paths", "n_steps", "seed", "quad_nodes"):
-            value = _spec_number(fields, name, int)
-            if value is None or value != fields[name] or isinstance(fields[name], float):
-                problems.append(f"{name} must be an integer, got {fields[name]!r}")
+            value = _spec_number(given, name, int)
+            if value is None or value != given[name] or isinstance(given[name], (float, bool)):
+                problems.append(f"{name} must be an integer, got {given[name]!r}")
             else:
                 ints[name] = value
-        if self.workers is not None and _spec_number(fields, "workers", int) != self.workers:
+        if self.workers is not None and (_spec_number(given, "workers", int) != self.workers
+                                         or isinstance(self.workers, bool)):
             problems.append(f"workers must be an integer or null, got {self.workers!r}")
         elif self.workers is not None and self.workers < 1:
             problems.append(f"workers must be >= 1, got {self.workers}")
@@ -191,9 +189,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def config_to_json(cfg: ExperimentConfig) -> str:
-    d = asdict(cfg)
-    d["eps_list"] = list(cfg.eps_list)
-    return json.dumps(d, sort_keys=True, indent=2)
+    return json.dumps(asdict(cfg), sort_keys=True, indent=2)
 
 
 @dataclass
@@ -230,6 +226,9 @@ class ResultRow:
         return out
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
+
+
 @dataclass
 class RunResult:
     config: ExperimentConfig
@@ -239,15 +238,19 @@ class RunResult:
     sidecar_path: str
 
 
+def _row(cfg, **values):
+    """A row of ``cfg``'s run: its subcommand, k, n_paths, n_steps and seed, plus ``values``."""
+    return ResultRow(subcommand=cfg.subcommand, k=cfg.k, n_paths=cfg.n_paths,
+                     n_steps=cfg.n_steps, seed=cfg.seed, **values)
+
+
 def _stats_row(cfg, stats, epsilon, oracle=None):
     dev = None
     if oracle is not None and stats.stderr > 0:
         dev = abs(stats.mean - oracle) / stats.stderr
-    return ResultRow(subcommand=cfg.subcommand, k=cfg.k, epsilon=epsilon,
-                     mean=stats.mean, stderr=stats.stderr,
-                     m1=stats.abs_moments[1], m2=stats.abs_moments[2],
-                     m4=stats.abs_moments[4], oracle=oracle, dev_stderr=dev,
-                     n_paths=cfg.n_paths, n_steps=cfg.n_steps, seed=cfg.seed)
+    return _row(cfg, epsilon=epsilon, mean=stats.mean, stderr=stats.stderr,
+                m1=stats.abs_moments[1], m2=stats.abs_moments[2],
+                m4=stats.abs_moments[4], oracle=oracle, dev_stderr=dev)
 
 
 def _scalar_weight(cfg):
@@ -301,9 +304,7 @@ def _run_hilbert(cfg):
         res = HilbertSltResult.from_ensemble(ensemble, e, weight.first_omitted_norm_sq)
         for stats in res.coord_stats:
             rows.append(_stats_row(cfg, stats, eps))
-        rows.append(ResultRow(subcommand=cfg.subcommand, k=cfg.k, epsilon=eps,
-                              mean=float(res.norm_sq_partial[-1]),
-                              n_paths=cfg.n_paths, n_steps=cfg.n_steps, seed=cfg.seed))
+        rows.append(_row(cfg, epsilon=eps, mean=float(res.norm_sq_partial[-1])))
         summaries[eps] = res
     return rows, {"results": summaries, "first_omitted_norm_sq": weight.first_omitted_norm_sq}
 
@@ -329,16 +330,11 @@ def _brick_check_spike(cfg):
     n = np.arange(1, n_levels + 1, dtype=float)
     predicted = np.sort(np.r_[1.0, (n[1:] ** (-2.0 / 3.0) - n[1:] ** (-5.0 / 3.0))])[::-1]
 
-    rows = []
-    for m in range(n_levels):
-        rows.append(ResultRow(subcommand=cfg.subcommand, k=cfg.k, epsilon=float(m + 1),
-                              mean=float(profile.sup_squares[m]),
-                              oracle=float(predicted[m]),
-                              n_paths=cfg.n_paths, n_steps=cfg.n_steps, seed=cfg.seed))
-    metric = canonical_metric(coords @ coords.T)
-    dudley = dudley_estimate(skeleton, metric)
-    rows.append(ResultRow(subcommand=cfg.subcommand, k=cfg.k, mean=dudley,
-                          n_paths=cfg.n_paths, n_steps=cfg.n_steps, seed=cfg.seed))
+    rows = [_row(cfg, epsilon=float(m + 1), mean=float(profile.sup_squares[m]),
+                 oracle=float(predicted[m]))
+            for m in range(n_levels)]
+    dudley = dudley_estimate(skeleton, canonical_metric(skeleton.gram()))
+    rows.append(_row(cfg, mean=dudley))
     extras = {"profile": profile, "contained": contained, "dudley": dudley,
               "weight": weight}
     return rows, extras
@@ -355,9 +351,7 @@ def _brick_check_occupation(cfg):
     dudley = dudley_estimate(FiniteCompact(points=grid), metric)
     emp = sample.empirical_covariance()
     frob = float(np.linalg.norm(emp - G) / np.linalg.norm(G))
-    rows = [ResultRow(subcommand=cfg.subcommand, k=cfg.k, mean=dudley,
-                      stderr=frob, n_paths=cfg.n_paths, n_steps=cfg.n_steps,
-                      seed=cfg.seed)]
+    rows = [_row(cfg, mean=dudley, stderr=frob)]
     extras = {"gram": G, "sample": sample, "dudley": dudley, "frobenius_rel": frob,
               "field": field_}
     return rows, extras
@@ -370,9 +364,7 @@ def _run_image_check(cfg):
     residuals = [image_slt(sample_path(min(cfg.n_steps, 512), cfg.seed, stream=i),
                            F, cfg.eps_list[-1], cfg.k).residual
                  for i in range(16)]
-    rows.append(ResultRow(subcommand=cfg.subcommand, k=cfg.k,
-                          mean=float(np.max(residuals)),
-                          n_paths=cfg.n_paths, n_steps=cfg.n_steps, seed=cfg.seed))
+    rows.append(_row(cfg, mean=float(np.max(residuals))))
     return rows, {"max_residual": float(np.max(residuals))}
 
 
@@ -381,10 +373,7 @@ def _run_lemma_delta(cfg):
     phi = bump_function(center=_DELTA_POINT, radius=_DELTA_RADIUS)
     table = delta_family_check(phi, np.asarray(_DELTA_POINT), F, cfg.eps_list,
                                k=cfg.k, n_nodes=cfg.quad_nodes)
-    rows = [ResultRow(subcommand=cfg.subcommand, k=cfg.k, epsilon=r.epsilon,
-                      mean=r.value, oracle=r.target,
-                      n_paths=cfg.n_paths, n_steps=cfg.n_steps, seed=cfg.seed)
-            for r in table]
+    rows = [_row(cfg, epsilon=r.epsilon, mean=r.value, oracle=r.target) for r in table]
     return rows, {"table": table}
 
 
@@ -435,7 +424,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     with open(csv_path, "w", newline="") as fh:
         fh.write(buf.getvalue())
 
-    sidecar = {"config": json.loads(config_to_json(cfg)), "version": __version__}
+    sidecar = {"config": asdict(cfg), "version": __version__}
     if cfg.timings:
         sidecar["timings"] = {"wall_time_s": wall}
     with open(sidecar_path, "w") as fh:

@@ -25,9 +25,10 @@ from a float64 squared distance, exponentiates it with glibc's vector math
 library (libmvec) and feeds it to every level in the same pass.  Importing this
 module builds the kernel with ``COMPILER`` (gcc) for this CPU, or loads the
 build cached for this source, flags and CPU in the first usable per-user
-directory of $XDG_CACHE_HOME/silt, ~/.cache/silt and <tempdir>/silt-<uid>.  A
-failed build leaves the import working; ``simplex_levels`` then raises a
-RuntimeError that names the command and the tail of its stderr.
+directory of $XDG_CACHE_HOME/silt, ~/.cache/silt and <tempdir>/silt-<uid>, and
+then removes the builds there of any other source or flags.  A failed build
+leaves the import working; ``simplex_levels`` then raises a RuntimeError that
+names the command and the tail of its stderr.
 """
 
 import ctypes
@@ -44,17 +45,17 @@ import tempfile
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError
 from .path_sim import PlanarPath, sample_path_points
 
 TWO_PI = 2.0 * np.pi
 
-#: Node rows per strip of the kernel sweep in ``simplex_levels``.
+#: Node rows per strip of the kernel sweep in ``simplex_levels``; ``_sweep.c``
+#: takes it as the macro STRIP.
 STRIP_ROWS = 32
 
 #: eps -> 0 limit of the mean renormalized double functional with unit weight.
@@ -133,7 +134,7 @@ COMPILER = "gcc"
 _SWEEP_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
 # IEEE semantics stay on (no -ffast-math): a NaN must reach the level sums
 _SWEEP_FLAGS = ("-O3", "-march=native", "-fno-math-errno", "-fno-trapping-math",
-                "-fopenmp-simd", "-shared", "-fPIC")
+                "-fopenmp-simd", "-shared", "-fPIC", f"-DSTRIP={STRIP_ROWS}")
 _SWEEP_LIBS = ("-lmvec", "-lm")
 
 
@@ -188,6 +189,11 @@ def _load_sweep():
     """{dtype: compiled sweep}, built into the cache first unless a build for this
     source, these flags and this CPU is there; a cache hit starts no process.
 
+    Builds are named sweep-<hash of source and flags>-<hash of CPU flags>.so.
+    Once this one is loaded, the builds of any other source or flags in its
+    directory are removed; other CPUs' builds of this source stay, since a
+    home directory can be shared between machines.
+
     Raises RuntimeError naming a failed build command and the tail of its stderr.
     """
     try:
@@ -195,19 +201,24 @@ def _load_sweep():
             source = fh.read()
     except OSError as exc:
         raise RuntimeError(f"cannot read the kernel sweep source: {exc}") from None
-    key = hashlib.sha256(b"\0".join([source, " ".join(_SWEEP_FLAGS + _SWEEP_LIBS).encode(),
-                                     _cpu_flags().encode()])).hexdigest()[:20]
+    build = hashlib.sha256(b"\0".join([source, " ".join(_SWEEP_FLAGS + _SWEEP_LIBS).encode()]))
+    cpu = hashlib.sha256(_cpu_flags().encode())
+    prefix = f"sweep-{build.hexdigest()[:16]}-"
     dirs = _cache_dirs()
     cache = next((d for d in dirs if _private_dir(d)), None)
     if cache is None:
         raise RuntimeError(f"no private cache directory for the kernel sweep among {dirs}")
-    lib_path = os.path.join(cache, f"sweep-{key}.so")
+    lib_path = os.path.join(cache, f"{prefix}{cpu.hexdigest()[:8]}.so")
     if not os.path.exists(lib_path):
         _build_sweep(lib_path)
     try:
         lib = ctypes.CDLL(lib_path)
     except OSError as exc:
         raise RuntimeError(f"cannot load the kernel sweep: {exc}") from None
+    for name in os.listdir(cache):
+        if name.startswith("sweep-") and name.endswith(".so") and not name.startswith(prefix):
+            with suppress(OSError):  # another process may have removed it first
+                os.unlink(os.path.join(cache, name))
     sweeps = {}
     for dtype, name in ((np.float32, "sweep_float"), (np.float64, "sweep_double")):
         fn = getattr(lib, name)
@@ -339,7 +350,8 @@ def dynkin_renormalize(t_values, epsilon, k=None):
 # ensemble runner
 # ---------------------------------------------------------------------------
 
-WORKERS_ENV_VAR = "SILT_WORKERS"
+#: Paths per batch of ``ensemble_renormalized``, the unit of work of a worker thread.
+BATCH_PATHS = 32
 
 
 @dataclass(frozen=True)
@@ -347,9 +359,9 @@ class EnsembleConfig:
     """Shape of a Monte Carlo ensemble run.
 
     ``workers`` is the number of threads that sweep batches of
-    ``batch_size`` paths in this process; it defaults to SILT_WORKERS, then
-    the CPU count, and never affects numeric output (paths are keyed by index
-    and reduced in fixed order).
+    ``BATCH_PATHS`` paths in this process (None: the CPU count); it never
+    affects numeric output (paths are keyed by index and reduced in fixed
+    order).
     ``dtype`` ("float32" or "float64") is the precision of the sweep's kernel
     values and of their sums over a strip's 32 rows; exponents are formed in
     float64 and cast to it.  On grids with n >= 10 / eps, level sums at both
@@ -361,7 +373,6 @@ class EnsembleConfig:
     n_steps: int
     seed: int
     workers: int | None = None
-    batch_size: int = 32
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -373,21 +384,6 @@ class EnsembleConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
-
-    def resolved_workers(self):
-        if self.workers is not None:
-            return int(self.workers)
-        env = os.environ.get(WORKERS_ENV_VAR)
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ConfigError([f"{WORKERS_ENV_VAR} must be an integer, "
-                                   f"got {env!r}"]) from None
-            if workers < 1:
-                raise ConfigError([f"{WORKERS_ENV_VAR} must be >= 1, got {env!r}"])
-            return workers
-        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -490,13 +486,14 @@ def ensemble_renormalized(cfg: EnsembleConfig, eps_list, k, rho) -> EnsembleResu
 
     Every path is evaluated at all scales (and all Hilbert coordinates of
     ``rho``, when it has them) on shared kernel sweeps, so cross-scale and
-    cross-coordinate differences are coupled estimates.  Batches of paths run
-    on ``cfg.resolved_workers()`` threads of this process, which overlap in
-    the compiled sweep: its ctypes call releases the GIL.  Deterministic given
-    the config seed, independently of workers and batch size.  A batch that
-    raises (or an interrupt) cancels the batches not yet started, and the
-    error reaches the caller once the running ones have finished.  Raises
-    ValueError naming the first path whose level sums are not finite.
+    cross-coordinate differences are coupled estimates.  Batches of
+    ``BATCH_PATHS`` paths run on ``cfg.workers`` threads of this process (by
+    default one per CPU), which overlap in the compiled sweep: its ctypes call
+    releases the GIL.  Deterministic given the config seed, independently of
+    workers and batch size.  A batch that raises (or an interrupt) cancels the
+    batches not yet started, and the error reaches the caller once the running
+    ones have finished.  Raises ValueError naming the first path whose level
+    sums are not finite.
     """
     eps = np.asarray(eps_list, dtype=float)
     if eps.ndim == 0:
@@ -508,8 +505,7 @@ def ensemble_renormalized(cfg: EnsembleConfig, eps_list, k, rho) -> EnsembleResu
     check_resolution(cfg.n_steps, eps)
     dtype = np.float32 if cfg.dtype == "float32" else np.float64
 
-    ranges = [(lo, min(lo + cfg.batch_size, cfg.n_paths))
-              for lo in range(0, cfg.n_paths, cfg.batch_size)]
+    ranges = [(lo, min(lo + BATCH_PATHS, cfg.n_paths)) for lo in range(0, cfg.n_paths, BATCH_PATHS)]
 
     failed = threading.Event()
 
@@ -525,7 +521,7 @@ def ensemble_renormalized(cfg: EnsembleConfig, eps_list, k, rho) -> EnsembleResu
 
     levels = None
     with _one_blas_thread():
-        pool = ThreadPoolExecutor(max_workers=cfg.resolved_workers())
+        pool = ThreadPoolExecutor(max_workers=cfg.workers or os.cpu_count() or 1)
         try:
             for (lo, hi), block in zip(ranges, pool.map(batch, ranges)):
                 if levels is None:

@@ -1,5 +1,7 @@
 """Tests for configuration parsing, orchestration, and bit-stable emission."""
 
+import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from silt import (ConfigError, EnsembleConfig, ExperimentConfig, parse_config,
+from silt import (ConfigError, EnsembleConfig, ExperimentConfig, ResultRow, parse_config,
                   run_experiment)
 from silt.cli import (CSV_COLUMNS, build_parser, config_to_json, _flags_config, main,
                       _parse_weight_flag)
@@ -116,13 +118,15 @@ def test_main_rejects_worker_flags_below_one(workers, tmp_path, capsys):
         EnsembleConfig(n_paths=4, n_steps=8, seed=1, workers=int(workers))
 
 
-def test_main_rejects_workers_env_below_one(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SILT_WORKERS", "0")
-    code = main(["--subcommand", "converge", "--eps", "0.2", "--paths", "4",
-                 "--steps", "32", "--out", str(tmp_path / "w")])
-    assert code == 2
-    assert capsys.readouterr().out == "config error: SILT_WORKERS must be >= 1, got '0'\n"
-    assert not os.path.exists(tmp_path / "w.csv")
+@pytest.mark.parametrize("name", ["k", "n_paths", "n_steps", "seed", "quad_nodes", "workers"])
+def test_main_rejects_json_booleans_for_integer_fields(name, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"subcommand": "converge", "eps_list": [0.2], "n_paths": 4,
+                                    "n_steps": 32, "output_path": str(tmp_path / "b"),
+                                    name: True}))
+    assert main(["--config", str(cfg_path)]) == 2
+    assert f"config error: {name} must be an integer" in capsys.readouterr().out
+    assert not os.path.exists(tmp_path / "b.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +143,29 @@ def test_converge_rows_carry_oracle_deviation(tmp_path):
     with open(result.csv_path) as fh:
         header = fh.readline().strip().split(",")
     assert tuple(header) == CSV_COLUMNS
+
+
+@pytest.mark.parametrize("subcommand,spec", [
+    ("converge", {"kind": "constant", "value": 1.0}),
+    ("hilbert", {"kind": "rare-spike", "n_levels": 4}),
+    ("brick-check", {"kind": "rare-spike", "n_levels": 4}),
+    ("brick-check", {"kind": "occupation", "mc_samples": 150}),
+    ("image-check", {"kind": "jacobian", "map": "shear"}),
+    ("lemma-delta", {"kind": "jacobian", "map": "shear"}),
+], ids=["converge", "hilbert", "brick-spike", "brick-occupation", "image-check", "lemma-delta"])
+def test_every_row_names_its_run(subcommand, spec, tmp_path):
+    cfg = ExperimentConfig(subcommand=subcommand, k=3, eps_list=(0.2, 0.1), n_paths=6,
+                           n_steps=16, seed=41, weight_spec=spec, quad_nodes=21,
+                           output_path=str(tmp_path / "run")).validate()
+    result = run_experiment(cfg)
+    with open(result.csv_path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == [f.name for f in dataclasses.fields(ResultRow)]
+    assert len(rows) == len(result.rows) > 0
+    for row in rows:
+        named = dict(zip(header, row))
+        assert [named[f] for f in ("subcommand", "k", "n_paths", "n_steps", "seed")] == \
+            [subcommand, "3", "6", "16", "41"]
 
 
 def test_converge_no_oracle_for_k3(tmp_path):
@@ -343,14 +370,6 @@ def test_main_reports_unparsable_weight_numbers(subcommand, weight, capsys):
     out = capsys.readouterr().out
     assert repr(weight.partition(":")[2]) in out
     assert "k must be" in out  # collected with the other violations
-
-
-def test_main_reports_non_integer_workers_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SILT_WORKERS", "two")
-    code = main(["--subcommand", "converge", "--eps", "0.2", "--paths", "4",
-                 "--steps", "32", "--out", str(tmp_path / "w")])
-    assert code == 2
-    assert "config error: SILT_WORKERS must be an integer, got 'two'" in capsys.readouterr().out
 
 
 def test_pipeline_config_error_is_not_rewrapped(tmp_path, capsys):

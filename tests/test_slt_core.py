@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -194,11 +195,12 @@ def test_translated_path_matches_dense_oracle():
         np.testing.assert_allclose(levels[0, :, e, 1:], oracle, rtol=1e-12, atol=0)
 
 
+@mock.patch.object(slt_core, "BATCH_PATHS", 2)
 def test_hilbert_levels_independent_of_workers():
     n = 3 * STRIP_ROWS + 5
     weight = rare_spike_weight(3).compose(RadialParameterMap(t_max=3.0))
-    runs = [ensemble_renormalized(EnsembleConfig(n_paths=8, n_steps=n, seed=4, workers=w,
-                                                 batch_size=2), [0.2], 3, weight)
+    runs = [ensemble_renormalized(EnsembleConfig(n_paths=8, n_steps=n, seed=4, workers=w),
+                                  [0.2], 3, weight)
             for w in (1, 2)]
     assert runs[0].levels.shape == (8, 3, 1, 3)
     assert np.array_equal(runs[0].levels, runs[1].levels)
@@ -424,24 +426,19 @@ def test_estimate_validation():
         estimate_renormalized(1, 64, 0.2, 2, UNIT, seed=1)
 
 
+@mock.patch.object(slt_core, "BATCH_PATHS", 16)
 def test_workers_do_not_change_output():
     kw = dict(eps_list=[0.2, 0.1], k=2, rho=UNIT)
     serial = ensemble_renormalized(
-        EnsembleConfig(n_paths=70, n_steps=128, seed=9, workers=1, batch_size=16), **kw)
+        EnsembleConfig(n_paths=70, n_steps=128, seed=9, workers=1), **kw)
     parallel = ensemble_renormalized(
-        EnsembleConfig(n_paths=70, n_steps=128, seed=9, workers=3, batch_size=16), **kw)
+        EnsembleConfig(n_paths=70, n_steps=128, seed=9, workers=3), **kw)
     assert np.array_equal(serial.renormalized, parallel.renormalized)
     assert np.array_equal(serial.levels, parallel.levels)
 
 
-def test_workers_env_var(monkeypatch):
-    monkeypatch.setenv("SILT_WORKERS", "5")
-    assert EnsembleConfig(n_paths=4, n_steps=8, seed=1).resolved_workers() == 5
-    monkeypatch.delenv("SILT_WORKERS")
-    assert EnsembleConfig(n_paths=4, n_steps=8, seed=1, workers=2).resolved_workers() == 2
-
-
 @pytest.mark.parametrize("workers", [1, 2])
+@mock.patch.object(slt_core, "BATCH_PATHS", 2)
 def test_sweep_runs_on_one_blas_thread_and_restores(workers, monkeypatch):
     controls = slt_core._openblas_thread_controls()
     before = [get() for get, _ in controls]
@@ -455,11 +452,12 @@ def test_sweep_runs_on_one_blas_thread_and_restores(workers, monkeypatch):
         return sweep(*args, **kwargs)
 
     monkeypatch.setattr(slt_core, "simplex_levels", spy)
-    cfg = EnsembleConfig(n_paths=4, n_steps=64, seed=1, workers=workers, batch_size=2)
+    cfg = EnsembleConfig(n_paths=4, n_steps=64, seed=1, workers=workers)
     ensemble_renormalized(cfg, [0.2], 2, UNIT)
     assert [get() for get, _ in controls] == before
 
 
+@mock.patch.object(slt_core, "BATCH_PATHS", 1)
 def test_parallel_ensemble_starts_no_process(monkeypatch):
     def no_fork():
         raise AssertionError("the ensemble forked a process")
@@ -467,13 +465,13 @@ def test_parallel_ensemble_starts_no_process(monkeypatch):
     kw = dict(eps_list=[0.2, 0.1], k=3,
               rho=rare_spike_weight(4).compose(RadialParameterMap(t_max=4.0)))
     serial = ensemble_renormalized(
-        EnsembleConfig(n_paths=12, n_steps=64, seed=3, workers=1, batch_size=1), **kw)
+        EnsembleConfig(n_paths=12, n_steps=64, seed=3, workers=1), **kw)
     monkeypatch.setattr(os, "fork", no_fork)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more thread switches inside each batch
     try:
         parallel = [ensemble_renormalized(
-            EnsembleConfig(n_paths=12, n_steps=64, seed=3, workers=workers, batch_size=1), **kw)
+            EnsembleConfig(n_paths=12, n_steps=64, seed=3, workers=workers), **kw)
             for workers in (2, 5)]
     finally:
         sys.setswitchinterval(interval)
@@ -482,6 +480,7 @@ def test_parallel_ensemble_starts_no_process(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+@mock.patch.object(slt_core, "BATCH_PATHS", 2)
 def test_failing_batch_cancels_the_queued_ones(workers):
     calls, lock, error = [], threading.Lock(), RuntimeError("weight failed")
 
@@ -492,7 +491,7 @@ def test_failing_batch_cancels_the_queued_ones(workers):
                 raise error
         return np.ones(len(pts))
 
-    cfg = EnsembleConfig(n_paths=200, n_steps=64, seed=1, workers=workers, batch_size=2)
+    cfg = EnsembleConfig(n_paths=200, n_steps=64, seed=1, workers=workers)
     with pytest.raises(RuntimeError) as info:
         ensemble_renormalized(cfg, [0.2], 2, ScalarWeight.from_function(failing))
     assert info.value is error
@@ -524,6 +523,30 @@ def test_warm_cache_load_starts_no_compiler(tmp_path, monkeypatch):
     assert np.array_equal(simplex_levels(pts, rho, [0.3], 3), expected)
 
 
+def test_new_build_removes_superseded_builds(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    source = open(slt_core._SWEEP_SOURCE).read()
+    for copy in ("first", "second"):  # two sources that differ only by a comment
+        path = tmp_path / f"{copy}.c"
+        path.write_text(f"/* {copy} copy */\n{source}")
+        monkeypatch.setattr(slt_core, "_SWEEP_SOURCE", str(path))
+        slt_core._load_sweep()
+    [build] = (tmp_path / "silt").glob("*.so")
+    other_cpu = build.with_name(build.name.rsplit("-", 1)[0] + "-00000000.so")
+    other_cpu.write_bytes(b"")  # another machine's build of this source
+    slt_core._load_sweep()
+    assert sorted((tmp_path / "silt").iterdir()) == sorted([build, other_cpu])
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    cmd = [slt_core.COMPILER, *slt_core._SWEEP_FLAGS, "-Wall", "-Wextra",
+           os.path.abspath(slt_core._SWEEP_SOURCE), "-o", str(tmp_path / "sweep.so"),
+           *slt_core._SWEEP_LIBS]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
 def test_nonfinite_weight_names_first_bad_path():
     n, bad = 64, 5
     node = sample_path_points(n, 3, [bad])[0, 10]
@@ -543,10 +566,12 @@ def test_nonfinite_weight_names_first_bad_path():
        batch_size=st.integers(1, 48), workers=st.sampled_from([1, 2]))
 def test_batch_size_does_not_change_output(n_paths, n, k, batch_size, workers):
     kw = dict(eps_list=[0.2, 0.1], k=k, rho=UNIT)
-    a = ensemble_renormalized(EnsembleConfig(n_paths=n_paths, n_steps=n, seed=9, workers=workers,
-                                             batch_size=batch_size), **kw)
-    b = ensemble_renormalized(EnsembleConfig(n_paths=n_paths, n_steps=n, seed=9, workers=1,
-                                             batch_size=n_paths), **kw)
+    with mock.patch.object(slt_core, "BATCH_PATHS", batch_size):
+        a = ensemble_renormalized(EnsembleConfig(n_paths=n_paths, n_steps=n, seed=9,
+                                                 workers=workers), **kw)
+    with mock.patch.object(slt_core, "BATCH_PATHS", n_paths):
+        b = ensemble_renormalized(EnsembleConfig(n_paths=n_paths, n_steps=n, seed=9, workers=1),
+                                  **kw)
     assert np.array_equal(a.levels, b.levels)
     assert np.array_equal(a.renormalized, b.renormalized)
 
