@@ -26,8 +26,8 @@ from .weights import (CovarianceOracle, HilbertSltResult, HilbertWeight,
 from .brick import (Brick, FiniteCompact, IsonormalSample, brick_contains,
                     canonical_metric, covering_brick, dudley_estimate,
                     isonormal_sample, minkowski_cover, project_cover)
-from .image import (BumpFunction, DeltaRow, Diffeomorphism, ImageIdentity,
-                    affine_map, builtin_maps, bump_function,
-                    delta_family_check, image_slt, perturbation_map)
+from .image import (DeltaRow, Diffeomorphism, ImageIdentity, affine_map,
+                    builtin_maps, bump_function, delta_family_check, image_slt,
+                    perturbation_map)
 from .cli import (CSV_COLUMNS, ExperimentConfig, ResultRow, RunResult,
                   config_to_json, parse_config, run_experiment)

@@ -61,16 +61,14 @@ class ExperimentConfig:
             problems.append(f"unknown subcommand {self.subcommand!r}")
         given = vars(self)
         ints = {}
-        for name in ("k", "n_paths", "n_steps", "seed", "quad_nodes"):
+        optional = ("workers",) if self.workers is not None else ()  # null: one per CPU
+        for name in ("k", "n_paths", "n_steps", "seed", "quad_nodes") + optional:
             value = _spec_number(given, name, int)
             if value is None or value != given[name] or isinstance(given[name], (float, bool)):
                 problems.append(f"{name} must be an integer, got {given[name]!r}")
             else:
                 ints[name] = value
-        if self.workers is not None and (_spec_number(given, "workers", int) != self.workers
-                                         or isinstance(self.workers, bool)):
-            problems.append(f"workers must be an integer or null, got {self.workers!r}")
-        elif self.workers is not None and self.workers < 1:
+        if ints.get("workers", 1) < 1:
             problems.append(f"workers must be >= 1, got {self.workers}")
         if ints.get("k", 1) < 1:
             problems.append(f"k must be >= 1, got {self.k}")

@@ -48,32 +48,6 @@ class Diffeomorphism:
 # builtin family: affine maps and bounded perturbations of the identity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _AffineFwd:
-    A: np.ndarray
-    b: np.ndarray
-
-    def __call__(self, u):
-        return np.atleast_2d(np.asarray(u, dtype=float)) @ self.A.T + self.b
-
-
-@dataclass(frozen=True)
-class _AffineInv:
-    A_inv: np.ndarray
-    b: np.ndarray
-
-    def __call__(self, v):
-        return (np.atleast_2d(np.asarray(v, dtype=float)) - self.b) @ self.A_inv.T
-
-
-@dataclass(frozen=True)
-class _ConstDet:
-    value: float
-
-    def __call__(self, u):
-        return np.full(np.atleast_2d(u).shape[0], self.value)
-
-
 def affine_map(A, b=(0.0, 0.0), name="affine") -> Diffeomorphism:
     """Affine diffeomorphism u -> A u + b with det A != 0."""
     A = np.asarray(A, dtype=float)
@@ -81,68 +55,52 @@ def affine_map(A, b=(0.0, 0.0), name="affine") -> Diffeomorphism:
     det = float(np.linalg.det(A))
     if det == 0.0:
         raise ValueError("affine map must have a nonsingular matrix")
+    A_inv = np.linalg.inv(A)
     return Diffeomorphism(
-        forward=_AffineFwd(A, b),
-        inverse=_AffineInv(np.linalg.inv(A), b),
-        jac_det=_ConstDet(det),
+        forward=lambda u: np.atleast_2d(np.asarray(u, dtype=float)) @ A.T + b,
+        inverse=lambda v: (np.atleast_2d(np.asarray(v, dtype=float)) - b) @ A_inv.T,
+        jac_det=lambda u: np.full(np.atleast_2d(u).shape[0], det),
         det_lower_bound=abs(det),
         name=name,
     )
-
-
-@dataclass(frozen=True)
-class _PerturbFwd:
-    alpha: float
-
-    def __call__(self, u):
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        s = np.stack([np.sin(u[:, 1]), np.cos(u[:, 0])], axis=1)
-        return u + self.alpha * s
-
-
-@dataclass(frozen=True)
-class _PerturbInv:
-    """Inverse of u -> u + alpha s(u) by the iteration u = v - alpha s(u) (rate alpha)."""
-
-    alpha: float
-
-    def __call__(self, v):
-        v = np.atleast_2d(np.asarray(v, dtype=float))
-        fwd = _PerturbFwd(self.alpha)
-        u = v.copy()
-        for _ in range(500):
-            s = np.stack([np.sin(u[:, 1]), np.cos(u[:, 0])], axis=1)
-            u = v - self.alpha * s
-            if np.max(np.linalg.norm(fwd(u) - v, axis=1)) <= 1e-12:
-                return u
-        raise RuntimeError("fixed-point inversion failed to reach the residual tolerance")
-
-
-@dataclass(frozen=True)
-class _PerturbDet:
-    alpha: float
-
-    def __call__(self, u):
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        return 1.0 + self.alpha**2 * np.sin(u[:, 0]) * np.cos(u[:, 1])
 
 
 def perturbation_map(alpha=0.2, name="swirl") -> Diffeomorphism:
     """Bounded smooth perturbation u + alpha (sin u_2, cos u_1) of the identity.
 
     det F' = 1 + alpha^2 sin(u_1) cos(u_2) >= 1 - alpha^2 > 0 for |alpha| < 1,
-    so the map is a global diffeomorphism; the inverse iterates the fixed
-    point to a 1e-12 forward residual.
+    so the map is a global diffeomorphism.  The inverse iterates the fixed
+    point u = v - alpha s(u) to a 1e-12 forward residual.  The iteration
+    contracts at rate alpha from an error of at most alpha sqrt(2); its step
+    cap is what that rate needs to reach 1e-12, and at least 500.
     """
     if not 0 <= alpha < 1:
         raise ValueError("alpha must lie in [0, 1)")
-    return Diffeomorphism(
-        forward=_PerturbFwd(alpha),
-        inverse=_PerturbInv(alpha),
-        jac_det=_PerturbDet(alpha),
-        det_lower_bound=1.0 - alpha**2,
-        name=name,
-    )
+    steps = 500 if alpha == 0 else max(
+        500, math.ceil(math.log(1e-12 / (alpha * math.sqrt(2))) / math.log(alpha)))
+
+    def shift(u):
+        return np.stack([np.sin(u[:, 1]), np.cos(u[:, 0])], axis=1)
+
+    def forward(u):
+        u = np.atleast_2d(np.asarray(u, dtype=float))
+        return u + alpha * shift(u)
+
+    def inverse(v):
+        v = np.atleast_2d(np.asarray(v, dtype=float))
+        u = v
+        for _ in range(steps):
+            u = v - alpha * shift(u)
+            if np.max(np.linalg.norm(forward(u) - v, axis=1)) <= 1e-12:
+                return u
+        raise RuntimeError("fixed-point inversion failed to reach the residual tolerance")
+
+    def jac_det(u):
+        u = np.atleast_2d(np.asarray(u, dtype=float))
+        return 1.0 + alpha**2 * np.sin(u[:, 0]) * np.cos(u[:, 1])
+
+    return Diffeomorphism(forward=forward, inverse=inverse, jac_det=jac_det,
+                          det_lower_bound=1.0 - alpha**2, name=name)
 
 
 def builtin_maps() -> dict:
@@ -201,29 +159,25 @@ def image_slt(path: PlanarPath, F: Diffeomorphism, epsilon, k) -> ImageIdentity:
 # delta-family convergence check
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BumpFunction:
+def bump_function(center=(0.0, 0.0), radius=1.5):
     """Smooth compactly supported planar bump, value exp(-1) at the center.
 
     A planar test function: it takes points of shape (m, 2).
     ``delta_family_check`` builds the k-point integrand as the product of
     its values at the free points.
     """
+    center = np.asarray(center, dtype=float)
+    radius = float(radius)
 
-    center: np.ndarray
-    radius: float
-
-    def __call__(self, v):
+    def bump(v):
         v = np.atleast_2d(np.asarray(v, dtype=float))
-        r2 = np.sum((v - self.center) ** 2, axis=1) / self.radius**2
+        r2 = np.sum((v - center) ** 2, axis=1) / radius**2
         out = np.zeros(v.shape[0])
         inside = r2 < 1.0
         out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
         return out
 
-
-def bump_function(center=(0.0, 0.0), radius=1.5) -> BumpFunction:
-    return BumpFunction(center=np.asarray(center, dtype=float), radius=float(radius))
+    return bump
 
 
 @dataclass(frozen=True)

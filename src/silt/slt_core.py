@@ -410,7 +410,9 @@ class EnsembleResult:
 def _outside_stacklevel():
     """``stacklevel`` at which the caller's warning names the first frame outside silt."""
     frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == "silt":
+    # by module spec, not __name__: ``python -m silt`` runs silt/__main__.py as __main__
+    while frame is not None and \
+            getattr(frame.f_globals.get("__spec__"), "name", "").partition(".")[0] == "silt":
         frame, level = frame.f_back, level + 1
     return level
 

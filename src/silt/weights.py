@@ -12,6 +12,9 @@ Two concrete random-field weights are provided: a piecewise-linear chain of
 independent rare-spike variables (unbounded sup, vanishing norms) and a
 Gaussian-displaced occupation-density field with a log-singular kernel, the
 closed form E1(|u|^2 / 2) / (2 pi).
+
+Evaluators are plain callables, and the builtin ones are closures, so weights
+are not picklable; the ensemble runs them on threads of one process.
 """
 
 import math
@@ -27,15 +30,6 @@ from .slt_core import MCStats
 # ---------------------------------------------------------------------------
 # weight containers
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _ConstantEval:
-    value: float
-
-    def __call__(self, pts):
-        pts = np.asarray(pts)
-        return np.full(pts.shape[0], self.value)
-
 
 def _checked(values, sups, name):
     """``values`` after checking |values| <= ``sups`` along the last axis.
@@ -74,21 +68,13 @@ class ScalarWeight:
 
     @staticmethod
     def constant(c, name=None):
-        return ScalarWeight(evaluator=_ConstantEval(float(c)), sup_norm=abs(float(c)),
-                            name=name or f"const({c:g})")
+        value = float(c)
+        return ScalarWeight(evaluator=lambda pts: np.full(np.asarray(pts).shape[0], value),
+                            sup_norm=abs(value), name=name or f"const({c:g})")
 
     @staticmethod
     def from_function(func, sup_norm=None, name=""):
         return ScalarWeight(evaluator=func, sup_norm=sup_norm, name=name)
-
-
-@dataclass(frozen=True)
-class _ComposedEval:
-    inner: object
-    param_map: object
-
-    def __call__(self, pts):
-        return self.inner(self.param_map(pts))
 
 
 @dataclass(frozen=True)
@@ -148,7 +134,8 @@ class HilbertWeight:
 
     def compose(self, param_map):
         """Weight with its coordinates precomposed with ``param_map`` (new domain)."""
-        return HilbertWeight(evaluator=_ComposedEval(self.evaluator, param_map),
+        inner = self.evaluator
+        return HilbertWeight(evaluator=lambda pts: inner(param_map(pts)),
                              sup_norms=self.sup_norms,
                              first_omitted_norm_sq=self.first_omitted_norm_sq,
                              basis_label=self.basis_label)
@@ -248,21 +235,6 @@ class HilbertSltResult:
 # Jacobian-induced weights
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _JacobianEval:
-    diffeo: object
-    power: int
-
-    def __call__(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        det = np.abs(np.asarray(self.diffeo.jac_det(pts), dtype=float))
-        bad = det == 0.0
-        if np.any(bad):
-            where = pts[np.argmax(bad)]
-            raise SingularityError(where)
-        return det ** (-self.power)
-
-
 def jacobian_weight(diffeo, k) -> ScalarWeight:
     """Weight u -> 1/|det F'(u)|^(k-1) induced by a diffeomorphism F.
 
@@ -274,7 +246,16 @@ def jacobian_weight(diffeo, k) -> ScalarWeight:
     sup = None
     if getattr(diffeo, "det_lower_bound", 0) > 0:
         sup = float(diffeo.det_lower_bound) ** (-(k - 1))
-    return ScalarWeight(evaluator=_JacobianEval(diffeo, k - 1), sup_norm=sup,
+
+    def evaluator(pts):
+        pts = np.asarray(pts, dtype=float)
+        det = np.abs(np.asarray(diffeo.jac_det(pts), dtype=float))
+        bad = det == 0.0
+        if np.any(bad):
+            raise SingularityError(pts[np.argmax(bad)])
+        return det ** (-(k - 1))
+
+    return ScalarWeight(evaluator=evaluator, sup_norm=sup,
                         name=f"jacobian({getattr(diffeo, 'name', 'F')}, k={k})")
 
 
@@ -327,26 +308,6 @@ def pivoted_cholesky(G, tol=1e-12):
 
 
 @dataclass(frozen=True)
-class _SpikeCoordEval:
-    """Every coordinate (row of ``table``, over spike variables 1..N) of the spike
-    chain, interpolated linearly on the parameter domain [1, N]."""
-
-    table: np.ndarray
-
-    def __call__(self, ts):
-        ts = np.asarray(ts, dtype=float).reshape(-1)
-        N = self.table.shape[1]
-        if np.any(ts < 1.0 - 1e-12) or np.any(ts > N + 1e-12):
-            raise ValueError(f"parameter values must lie in [1, {N}]")
-        base = np.clip(np.floor(ts).astype(int), 1, N - 1)
-        frac = ts - base
-        out = np.empty((self.table.shape[0], ts.size))
-        for row, coeffs in zip(out, self.table):  # row by row, to bound the scratch arrays
-            np.add((1.0 - frac) * coeffs[base - 1], frac * coeffs[base], out=row)
-        return out
-
-
-@dataclass(frozen=True)
 class RareSpikeWeight(HilbertWeight):
     """Interpolated chain of independent rare spikes, with its Gram data attached.
 
@@ -377,8 +338,23 @@ def rare_spike_weight(n_levels) -> RareSpikeWeight:
         raise ValueError(f"n_levels must be >= 2, got {n_levels}")
     G = spike_gram(n_levels)
     L, _ = pivoted_cholesky(G)
+    table = np.ascontiguousarray(L.T)  # row m: coordinate m of spike variables 1..N
+
+    def evaluator(ts):
+        """Every coordinate of the chain, interpolated linearly on [1, N]."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        N = table.shape[1]
+        if np.any(ts < 1.0 - 1e-12) or np.any(ts > N + 1e-12):
+            raise ValueError(f"parameter values must lie in [1, {N}]")
+        base = np.clip(np.floor(ts).astype(int), 1, N - 1)
+        frac = ts - base
+        out = np.empty((table.shape[0], ts.size))
+        for row, coeffs in zip(out, table):  # row by row, to bound the scratch arrays
+            np.add((1.0 - frac) * coeffs[base - 1], frac * coeffs[base], out=row)
+        return out
+
     return RareSpikeWeight(
-        evaluator=_SpikeCoordEval(np.ascontiguousarray(L.T)),
+        evaluator=evaluator,
         sup_norms=np.max(np.abs(L), axis=0),
         first_omitted_norm_sq=float((n_levels + 1) ** (-2.0 / 3.0)),
         basis_label=f"spike-gs-{n_levels}",

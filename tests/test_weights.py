@@ -12,7 +12,6 @@ from silt import (EnsembleConfig, HilbertSltResult, HilbertWeight,
                   occupation_kernel, pivoted_cholesky, rare_spike_weight,
                   sample_path_points, spike_gram)
 from silt.image import affine_map, builtin_maps
-from silt.weights import _ConstantEval
 
 
 def const_coords_weight(values, first_omitted=0.0):
@@ -186,7 +185,9 @@ def test_hilbert_unit_first_coordinate_reduces_to_scalar():
     cfg = EnsembleConfig(n_paths=40, n_steps=64, seed=21)
     w = const_coords_weight([1.0, 0.0, 0.0])
     res = HilbertSltResult.from_ensemble(ensemble_renormalized(cfg, [0.2], 2, w), 0, 0.0)
-    scalar = estimate_renormalized(40, 64, 0.2, 2, ScalarWeight.constant(1.0), seed=21)
+    unit = ScalarWeight.constant(1.0)
+    assert np.array_equal(unit.values(np.zeros((3, 2))), np.ones(3))
+    scalar = estimate_renormalized(40, 64, 0.2, 2, unit, seed=21)
     assert res.coord_stats[0].mean == pytest.approx(scalar.mean, rel=1e-13)
     for m in (1, 2):
         assert res.coord_stats[m].mean == 0.0
@@ -329,15 +330,6 @@ def test_occupation_field_deterministic():
 # ---------------------------------------------------------------------------
 # misc plumbing
 # ---------------------------------------------------------------------------
-
-def test_constant_eval_is_picklable():
-    import pickle
-
-    w = ScalarWeight.constant(2.0)
-    w2 = pickle.loads(pickle.dumps(w))
-    np.testing.assert_allclose(w2.values(np.zeros((3, 2))), 2.0)
-    assert isinstance(w.evaluator, _ConstantEval)
-
 
 def test_covariance_oracle_gram_validation():
     from silt import CovarianceOracle
