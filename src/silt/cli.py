@@ -64,7 +64,7 @@ class ExperimentConfig:
         optional = ("workers",) if self.workers is not None else ()  # null: one per CPU
         for name in ("k", "n_paths", "n_steps", "seed", "quad_nodes") + optional:
             value = _spec_number(given, name, int)
-            if value is None or value != given[name] or isinstance(given[name], (float, bool)):
+            if value is None or value != given[name] or isinstance(given[name], float):
                 problems.append(f"{name} must be an integer, got {given[name]!r}")
             else:
                 ints[name] = value
@@ -146,10 +146,21 @@ class ExperimentConfig:
                               seed=self.seed, workers=self.workers, dtype=self.dtype)
 
 
+def _holds_bool(value):
+    """Whether ``value`` is a boolean, or a list or tuple that holds one at any depth.
+
+    Python reads a JSON ``true`` as the number 1, so numeric fields check for it.
+    """
+    if isinstance(value, (list, tuple)):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, (bool, np.bool_))
+
+
 def _spec_number(spec, key, kind):
-    """``kind(spec[key])``, or None when the entry is missing or does not convert."""
+    """``kind(spec[key])``, or None when the entry is missing, a boolean or does not convert."""
     try:
-        return kind(spec[key])
+        value = spec[key]
+        return None if _holds_bool(value) else kind(value)
     except (KeyError, TypeError, ValueError):
         return None
 
@@ -160,7 +171,7 @@ def _grid_problems(grid):
         pts = np.atleast_2d(np.asarray(grid, dtype=float))
     except (TypeError, ValueError):
         pts = np.empty((0, 0))
-    if pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
+    if _holds_bool(grid) or pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
         return [f"occupation grid must be a list of finite planar points, got {grid!r}"]
     if np.any(np.all(pts == 0.0, axis=1)):
         return ["occupation grid must exclude the origin, where the kernel diverges"]

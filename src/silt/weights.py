@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import exp1
 
 from .exceptions import RankDeficiencyError, SingularityError
 from .slt_core import MCStats
@@ -367,19 +366,49 @@ def rare_spike_weight(n_levels) -> RareSpikeWeight:
 # occupation-density field
 # ---------------------------------------------------------------------------
 
+_EULER_GAMMA = 0.5772156649015329
+
+
+def _exp1(x):
+    """Exponential integral E1(x) = integral over s > x of e^-s / s, on an array of x > 0.
+
+    For x <= 1 the power series -gamma - ln x - sum_k (-x)^k / (k k!) over 25
+    terms; for x > 1 the continued fraction
+    e^-x / (x + 1 - 1^2 / (x + 3 - 2^2 / (x + 5 - ...))), evaluated backward
+    over 100 terms.  Within 3e-15 relative of a reference E1 on [1e-10, 700];
+    beyond, e^-x goes subnormal and then the value underflows to 0.  NaN stays
+    NaN.
+    """
+    out = np.empty_like(x)
+    small = x <= 1.0
+    xs = x[small]
+    term, series = np.ones_like(xs), np.zeros_like(xs)
+    for k in range(1, 26):
+        term *= -xs / k
+        series += term / k
+    out[small] = -_EULER_GAMMA - np.log(xs) - series
+    xl = x[~small]
+    d = xl + 201.0
+    for j in range(99, -1, -1):
+        d = xl + (2 * j + 1) - (j + 1) ** 2 / d
+    out[~small] = np.exp(-xl) / d
+    return out
+
+
 def occupation_kernel(points) -> np.ndarray:
     """Mean occupation density of planar Brownian motion over [0, 1].
 
     f(u) = integral over t in (0, 1] of the centered Gaussian density of scale
     t at u, which the substitution s = |u|^2 / (2t) turns into the closed form
-    E1(|u|^2 / 2) / (2 pi) (``scipy.special.exp1``, vectorized over points).
-    Diverges logarithmically at the origin, which is rejected.
+    E1(|u|^2 / 2) / (2 pi), vectorized over points (E1 by ``_exp1``, within
+    3e-15 relative for |u| up to about 37; the value underflows to 0 near
+    |u| = 38).  Diverges logarithmically at the origin, which is rejected.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     r2 = np.sum(pts * pts, axis=-1)
     if np.any(r2 == 0.0):
         raise ValueError("occupation kernel is +inf at the origin; exclude it")
-    out = exp1(0.5 * r2) / (2.0 * math.pi)
+    out = _exp1(0.5 * r2) / (2.0 * math.pi)
     return out if np.asarray(points).ndim > 1 else float(out[0])
 
 

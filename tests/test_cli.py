@@ -482,9 +482,15 @@ def test_hilbert_multiple_eps_levels(tmp_path):
      "occupation grid must exclude the origin"),
     ({"subcommand": "brick-check", "weight_spec": {"kind": "occupation", "mc_samples": 150, "grid": "abc"}},
      "occupation grid must be a list of finite planar points"),
+    # JSON booleans, which Python would read as 0 and 1
+    ({"eps_list": [True]}, "eps_list must be a list of numbers"),
+    ({"weight_spec": {"kind": "constant", "value": True}}, "constant weight needs a numeric 'value'"),
+    ({"subcommand": "brick-check",
+      "weight_spec": {"kind": "occupation", "mc_samples": 150, "grid": [[True, False], [0.5, 0.0]]}},
+     "occupation grid must be a list of finite planar points"),
 ], ids=["seed", "k", "n_paths", "workers-float", "eps_list", "k-with-jacobian",
         "image-check-k1", "map-list", "quad-nodes", "lemma-delta-k1", "lemma-delta-k4",
-        "grid-origin", "grid-text"])
+        "grid-origin", "grid-text", "eps_list-bool", "constant-value-bool", "grid-bool"])
 def test_main_reports_malformed_config_fields(fields, message, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"subcommand": "converge",
@@ -519,6 +525,29 @@ def test_python_m_silt_warns_once_outside_the_package(tmp_path):
     where = warned.split(": RuntimeWarning")[0].rsplit(":", 1)[0]
     assert "under-resolve" in warned
     assert not os.path.abspath(os.path.join(tmp_path, where)).startswith(package + os.sep)
+
+
+def test_no_subcommand_loads_scipy(tmp_path):
+    # every subcommand in a fresh interpreter, brick-check occupation included
+    import silt
+
+    script = """
+import sys
+from silt.cli import SUBCOMMANDS, main
+runs = [("converge", "const:1"), ("hilbert", "rare-spike:4"), ("brick-check", "rare-spike:4"),
+        ("brick-check", "occupation:100"), ("image-check", "jacobian:swirl"),
+        ("lemma-delta", "jacobian:swirl")]
+assert {sub for sub, _ in runs} == set(SUBCOMMANDS)
+for i, (sub, weight) in enumerate(runs):
+    assert main(["--subcommand", sub, "--weight", weight, "--eps", "0.2", "--k", "2",
+                 "--paths", "4", "--steps", "32", "--out", f"run{i}"]) == 0
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(silt.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------

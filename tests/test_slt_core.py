@@ -183,6 +183,18 @@ def test_underflowing_kernel_matches_dense_oracle(dtype, rtol):
         np.testing.assert_allclose(levels[0, :, e, 1:], oracle, rtol=rtol, atol=0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_nan_node_reaches_levels(dtype):
+    # a NaN node must spoil the pair sums it enters, never vanish in the exp floor
+    n = 3 * STRIP_ROWS + 5
+    pts = sample_path_points(n, 13, [0, 1])
+    pts[0, 10] = np.nan
+    rho = 0.5 + np.random.default_rng(n).random((2, 1, n))
+    levels = simplex_levels(pts, rho, [0.3, 0.05], 3, dtype)
+    assert np.all(np.isnan(levels[0, :, :, 1:]))
+    assert np.all(np.isfinite(levels[0, :, :, 0])) and np.all(np.isfinite(levels[1]))
+
+
 def test_translated_path_matches_dense_oracle():
     # the sweep forms each exponent from the coordinate differences, so an
     # offset of 1e3 from the origin costs no digits; a Gram form on raw

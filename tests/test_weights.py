@@ -12,6 +12,7 @@ from silt import (EnsembleConfig, HilbertSltResult, HilbertWeight,
                   occupation_kernel, pivoted_cholesky, rare_spike_weight,
                   sample_path_points, spike_gram)
 from silt.image import affine_map, builtin_maps
+from silt.weights import _exp1
 
 
 def const_coords_weight(values, first_omitted=0.0):
@@ -284,6 +285,24 @@ def test_occupation_kernel_matches_exponential_integral():
         u = np.array([[np.sqrt(r2), 0.0]])
         assert occupation_kernel(u)[0] == pytest.approx(exp1(r2 / 2) / (2 * np.pi), rel=1e-12)
     assert occupation_kernel(np.array([[np.sqrt(2.0), 0.0]]))[0] == pytest.approx(0.0349160, abs=1e-6)
+
+
+def test_exp1_matches_reference_on_both_branches():
+    # series for x <= 1, continued fraction above; dense on [1e-10, 700] and
+    # around the branch point, with the reference E1 as oracle
+    x = np.concatenate([np.geomspace(1e-10, 700.0, 200_001), np.linspace(0.99, 1.01, 2_001),
+                        [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 700.0]])
+    np.testing.assert_allclose(_exp1(x), exp1(x), rtol=1e-14, atol=0)
+
+
+def test_exp1_underflows_where_the_reference_does():
+    # past x = 708 e^-x is subnormal and E1 reaches 0 near x = 738.5; subnormal
+    # values are compared to 1e-14 of the smallest normal number
+    x = np.linspace(700.0, 800.0, 100_001)
+    got, want = _exp1(x), exp1(x)
+    assert np.array_equal(got == 0.0, want == 0.0) and np.any(want == 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.finfo(float).tiny)
+    assert np.isnan(_exp1(np.array([np.nan]))[0]) and _exp1(np.array([np.inf]))[0] == 0.0
 
 
 def test_occupation_kernel_decreasing_along_rays():
