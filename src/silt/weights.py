@@ -366,9 +366,6 @@ def rare_spike_weight(n_levels) -> RareSpikeWeight:
 # occupation-density field
 # ---------------------------------------------------------------------------
 
-_EULER_GAMMA = 0.5772156649015329
-
-
 def _exp1(x):
     """Exponential integral E1(x) = integral over s > x of e^-s / s, on an array of x > 0.
 
@@ -386,7 +383,7 @@ def _exp1(x):
     for k in range(1, 26):
         term *= -xs / k
         series += term / k
-    out[small] = -_EULER_GAMMA - np.log(xs) - series
+    out[small] = -np.euler_gamma - np.log(xs) - series
     xl = x[~small]
     d = xl + 201.0
     for j in range(99, -1, -1):
