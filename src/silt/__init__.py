@@ -9,8 +9,7 @@ images of the path.
 
 __version__ = "0.1.0"
 
-from .exceptions import (ConfigError, NotPositiveSemidefiniteError,
-                         RankDeficiencyError, SingularityError)
+from .exceptions import ConfigError, NotPositiveSemidefiniteError, SingularityError
 from .path_sim import PlanarPath, sample_path, sample_path_points
 from .slt_core import (RENORM_DOUBLE_LIMIT, CauchyRow, EnsembleConfig,
                        EnsembleResult, MCStats, SimplexEstimate,
@@ -21,8 +20,7 @@ from .weights import (CovarianceOracle, HilbertSltResult, HilbertWeight,
                       OccupationField, RadialParameterMap, RareSpikeWeight,
                       ScalarWeight, SupProfile, coordinate_sup_profile,
                       jacobian_weight, occupation_density_field,
-                      occupation_kernel, pivoted_cholesky, rare_spike_weight,
-                      spike_gram)
+                      occupation_kernel, rare_spike_weight, spike_gram)
 from .brick import (Brick, FiniteCompact, IsonormalSample, brick_contains,
                     canonical_metric, covering_brick, dudley_estimate,
                     isonormal_sample, minkowski_cover, project_cover)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotPositiveSemidefiniteError
-from .weights import CovarianceOracle
 
 #: Radii on the geometric grid of ``dudley_estimate``.
 DUDLEY_LEVELS = 32
@@ -67,16 +66,15 @@ class FiniteCompact:
 
 @dataclass(frozen=True)
 class IsonormalSample:
-    """Joint Gaussian draws indexed by skeleton points, covariance = ``gram``."""
+    """Joint Gaussian draws, one column per index point, with covariance ``gram``."""
 
-    points: np.ndarray
     draws: np.ndarray
     seed: int
     gram: np.ndarray
 
     def __post_init__(self):
-        if self.draws.shape[1] != self.points.shape[0]:
-            raise ValueError("draws must have one column per skeleton point")
+        if self.draws.shape[1] != self.gram.shape[0]:
+            raise ValueError("draws must have one column per row of the Gram matrix")
 
     def empirical_covariance(self):
         return self.draws.T @ self.draws / self.draws.shape[0]
@@ -132,26 +130,22 @@ def project_cover(brick: Brick, drop_indices) -> Brick:
 # isonormal sampling
 # ---------------------------------------------------------------------------
 
-def isonormal_sample(skeleton, n_samples, seed, oracle: CovarianceOracle = None) -> IsonormalSample:
-    """Centered Gaussian draws on a skeleton with covariance equal to its Gram matrix.
+def isonormal_sample(gram, n_samples, seed) -> IsonormalSample:
+    """Centered Gaussian draws over a finite index set with covariance ``gram``.
 
-    ``skeleton`` is a FiniteCompact (Gram from coordinate vectors) or, with
-    ``oracle`` given, a plain array of index points whose Gram the oracle
-    supplies.  The Gram is factored symmetrically; if the factorization fails,
-    a diagonal jitter of 1e-10 * trace / M is added once.  An eigenvalue below
-    -1e-6 * trace signals a broken covariance and raises.  The sample keeps the
-    symmetrized Gram it was drawn with (without the jitter).
+    ``gram`` is the Gram matrix of the index points, e.g. ``FiniteCompact.gram()``
+    of coordinate vectors or ``CovarianceOracle.gram(points)`` of a random field.
+    It is factored symmetrically; if the factorization fails, a diagonal jitter
+    of 1e-10 * trace / M is added once.  An eigenvalue below -1e-6 * trace
+    signals a broken covariance and raises.  The sample keeps the symmetrized
+    Gram it was drawn with (without the jitter).
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    if oracle is not None:
-        points = np.atleast_2d(np.asarray(skeleton, dtype=float))
-        G = oracle.gram(points)
-    else:
-        points = skeleton.points
-        G = skeleton.gram()
-    if not np.allclose(G, G.T, atol=1e-10 * max(1.0, np.abs(G).max())):
-        raise ValueError("Gram matrix must be symmetric")
+    G = np.asarray(gram, dtype=float)
+    if G.ndim != 2 or G.shape[0] != G.shape[1] or \
+            not np.allclose(G, G.T, atol=1e-10 * max(1.0, np.abs(G).max())):
+        raise ValueError("Gram matrix must be square and symmetric")
     G = 0.5 * (G + G.T)
     M = G.shape[0]
     trace = float(np.trace(G))
@@ -168,7 +162,7 @@ def isonormal_sample(skeleton, n_samples, seed, oracle: CovarianceOracle = None)
         L = np.linalg.cholesky(G + jitter * np.eye(M))
     rng = np.random.Generator(np.random.Philox(key=seed))
     Z = rng.standard_normal((int(n_samples), M))
-    return IsonormalSample(points=points, draws=Z @ L.T, seed=int(seed), gram=G)
+    return IsonormalSample(draws=Z @ L.T, seed=int(seed), gram=G)
 
 
 def canonical_metric(gram) -> np.ndarray:
@@ -195,7 +189,7 @@ def _greedy_covering_number(dist, radius):
     return count
 
 
-def dudley_estimate(points: FiniteCompact, metric) -> float:
+def dudley_estimate(metric) -> float:
     """Upper Riemann estimate of the entropy integral int sqrt(ln H_eps) d eps.
 
     Covering numbers H_eps come from a greedy net with centers restricted to
@@ -204,12 +198,12 @@ def dudley_estimate(points: FiniteCompact, metric) -> float:
     estimate.  The radius grid is geometric, ``DUDLEY_LEVELS`` radii from the
     set diameter down to the smallest positive pairwise distance; the
     remaining strip [0, d_min) contributes d_min * sqrt(ln #distinct points)
-    exactly.
+    exactly.  ``metric`` is the square table of pairwise distances.
     """
     dist = np.asarray(metric, dtype=float)
-    n = points.points.shape[0]
-    if dist.shape != (n, n):
-        raise ValueError(f"metric table must be {n}x{n}")
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+        raise ValueError(f"metric table must be square, got shape {dist.shape}")
+    n = dist.shape[0]
     if not np.allclose(dist, dist.T, atol=1e-12 * max(1.0, np.abs(dist).max())):
         raise ValueError("metric table must be symmetric")
     if np.any(np.abs(np.diag(dist)) > 1e-12):

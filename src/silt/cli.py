@@ -64,7 +64,7 @@ class ExperimentConfig:
         optional = ("workers",) if self.workers is not None else ()  # null: one per CPU
         for name in ("k", "n_paths", "n_steps", "seed", "quad_nodes") + optional:
             value = _spec_number(given, name, int)
-            if value is None or value != given[name] or isinstance(given[name], float):
+            if value is None:
                 problems.append(f"{name} must be an integer, got {given[name]!r}")
             else:
                 ints[name] = value
@@ -113,8 +113,10 @@ class ExperimentConfig:
         kind = spec.get("kind")
         if kind not in WEIGHT_KINDS:
             return [f"unknown weight kind {kind!r}"]
-        if kind == "constant" and _spec_number(spec, "value", float) is None:
-            problems.append(f"constant weight needs a numeric 'value', got {spec.get('value')!r}")
+        value = _spec_number(spec, "value", float)
+        if kind == "constant" and (value is None or not np.isfinite(value)):
+            problems.append(f"constant weight needs a numeric 'value' that is finite, "
+                            f"got {spec.get('value')!r}")
         if kind == "jacobian":
             maps = sorted(builtin_maps())
             if spec.get("map") not in maps:
@@ -157,12 +159,16 @@ def _holds_bool(value):
 
 
 def _spec_number(spec, key, kind):
-    """``kind(spec[key])``, or None when the entry is missing, a boolean or does not convert."""
+    """``kind(spec[key])``, or None when the entry is missing, a boolean or does not
+    convert; an ``int`` entry must already be an integer (5.9, 2.0 and "3" give None)."""
     try:
         value = spec[key]
-        return None if _holds_bool(value) else kind(value)
-    except (KeyError, TypeError, ValueError):
+        number = None if _holds_bool(value) else kind(value)
+    except (KeyError, TypeError, ValueError, OverflowError):
         return None
+    if kind is int and (number != value or isinstance(value, float)):
+        return None
+    return number
 
 
 def _grid_problems(grid):
@@ -342,7 +348,7 @@ def _brick_check_spike(cfg):
     rows = [_row(cfg, epsilon=float(m + 1), mean=float(profile.sup_squares[m]),
                  oracle=float(predicted[m]))
             for m in range(n_levels)]
-    dudley = dudley_estimate(skeleton, canonical_metric(skeleton.gram()))
+    dudley = dudley_estimate(canonical_metric(skeleton.gram()))
     rows.append(_row(cfg, mean=dudley))
     extras = {"profile": profile, "contained": contained, "dudley": dudley,
               "weight": weight}
@@ -353,11 +359,9 @@ def _brick_check_occupation(cfg):
     spec = cfg.weight_spec
     grid = np.asarray(spec.get("grid", _DEFAULT_OCCUPATION_GRID), dtype=float)
     field_ = occupation_density_field(grid, int(spec["mc_samples"]), cfg.seed)
-    sample = isonormal_sample(grid, max(cfg.n_paths, 2), cfg.seed + 1,
-                              oracle=field_.oracle)
+    sample = isonormal_sample(field_.oracle.gram(field_.grid), cfg.n_paths, cfg.seed + 1)
     G = sample.gram
-    metric = canonical_metric(G)
-    dudley = dudley_estimate(FiniteCompact(points=grid), metric)
+    dudley = dudley_estimate(canonical_metric(G))
     emp = sample.empirical_covariance()
     frob = float(np.linalg.norm(emp - G) / np.linalg.norm(G))
     rows = [_row(cfg, mean=dudley, stderr=frob)]

@@ -9,14 +9,6 @@ class SingularityError(ValueError):
         super().__init__(message or f"singular Jacobian determinant at point {point}")
 
 
-class RankDeficiencyError(ValueError):
-    """Pivoted factorization broke down; ``index`` is the offending pivot."""
-
-    def __init__(self, index, message=""):
-        self.index = index
-        super().__init__(message or f"Gram matrix numerically singular at pivot index {index}")
-
-
 class NotPositiveSemidefiniteError(ValueError):
     """A covariance/Gram matrix has an eigenvalue below the allowed tolerance."""
 

@@ -398,7 +398,6 @@ class EnsembleResult:
     k: int
     levels: np.ndarray
     renormalized: np.ndarray
-    config: EnsembleConfig
 
     def stats(self, weight_index=0, eps_index=0) -> MCStats:
         return MCStats.from_samples(self.renormalized[:, weight_index, eps_index])
@@ -539,7 +538,7 @@ def ensemble_renormalized(cfg: EnsembleConfig, eps_list, k, rho) -> EnsembleResu
     renorm = np.empty((cfg.n_paths, levels.shape[1], len(eps)))
     for e, epsilon in enumerate(eps):
         renorm[:, :, e] = dynkin_renormalize(levels[:, :, e, :], epsilon, k)
-    return EnsembleResult(eps_list=eps, k=k, levels=levels, renormalized=renorm, config=cfg)
+    return EnsembleResult(eps_list=eps, k=k, levels=levels, renormalized=renorm)
 
 
 def estimate_renormalized(n_paths, n_steps, epsilon, k, rho, seed,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import RankDeficiencyError, SingularityError
+from .exceptions import SingularityError
 from .slt_core import MCStats
 
 
@@ -71,21 +71,16 @@ class ScalarWeight:
         return ScalarWeight(evaluator=lambda pts: np.full(np.asarray(pts).shape[0], value),
                             sup_norm=abs(value), name=name or f"const({c:g})")
 
-    @staticmethod
-    def from_function(func, sup_norm=None, name=""):
-        return ScalarWeight(evaluator=func, sup_norm=sup_norm, name=name)
-
 
 @dataclass(frozen=True)
 class RadialParameterMap:
-    """Planar adapter t(u) = min(offset + ||u||, t_max) for parameter-domain weights."""
+    """Planar adapter t(u) = min(1 + ||u||, t_max) for parameter-domain weights."""
 
     t_max: float
-    offset: float = 1.0
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=float)
-        return np.minimum(self.offset + np.linalg.norm(pts, axis=-1), self.t_max)
+        return np.minimum(1.0 + np.linalg.norm(pts, axis=-1), self.t_max)
 
 
 @dataclass(frozen=True)
@@ -276,47 +271,17 @@ def spike_gram(n_levels) -> np.ndarray:
     return G
 
 
-def pivoted_cholesky(G, tol=1e-12):
-    """Gram-Schmidt orthonormalization of a Gram matrix, largest pivot first.
-
-    Returns (L, pivot_order) with row i of L holding the coordinates of the
-    i-th original vector in the produced orthonormal basis (L @ L.T == G).
-    Raises RankDeficiencyError naming the offending index when a pivot falls
-    below tol * mean diagonal.
-    """
-    G = np.array(G, dtype=float)
-    N = G.shape[0]
-    if G.shape != (N, N) or not np.allclose(G, G.T, atol=1e-12 * max(1.0, np.abs(G).max())):
-        raise ValueError("Gram matrix must be square and symmetric")
-    perm = np.arange(N)
-    L = np.zeros_like(G)
-    floor = tol * max(np.trace(G) / N, 1e-300)
-    for j in range(N):
-        p = j + int(np.argmax(np.diag(G)[j:]))
-        if G[p, p] <= floor:
-            raise RankDeficiencyError(int(perm[p]))
-        for A in (G, L):
-            A[[j, p]] = A[[p, j]]
-            A[:, [j, p]] = A[:, [p, j]]
-        perm[[j, p]] = perm[[p, j]]
-        L[j, j] = math.sqrt(G[j, j])
-        L[j + 1:, j] = G[j + 1:, j] / L[j, j]
-        G[j + 1:, j + 1:] -= np.outer(L[j + 1:, j], L[j + 1:, j])
-    inverse = np.argsort(perm)
-    return L[inverse], perm
-
-
 @dataclass(frozen=True)
 class RareSpikeWeight(HilbertWeight):
-    """Interpolated chain of independent rare spikes, with its Gram data attached.
+    """Interpolated chain of independent rare spikes, with its coordinate table attached.
 
     The value at parameter t in [n, n+1] interpolates the n-th and (n+1)-th
     spike variables linearly; norms decay like n^(-1/3), while the pointwise
     sup of the family is infinite.  ``coord_rows[i]`` holds the coordinates of
-    the i-th spike variable in the orthonormalized basis.
+    the i-th spike variable in the orthonormalized basis, so
+    ``coord_rows @ coord_rows.T`` is ``spike_gram(N)``.
     """
 
-    gram_matrix: np.ndarray = field(default=None, repr=False)
     coord_rows: np.ndarray = field(default=None, repr=False)
 
     def default_grid(self, points_per_segment=8):
@@ -327,16 +292,25 @@ class RareSpikeWeight(HilbertWeight):
 def rare_spike_weight(n_levels) -> RareSpikeWeight:
     """Hilbert weight over the parameter domain [1, n_levels] from the spike chain.
 
-    The closed-form Gram matrix is orthonormalized by pivoted Gram-Schmidt
-    (the spike variables are neither centered nor orthogonal) and the returned
-    weight exposes the coordinates of the interpolated chain in the resulting
-    basis.  ``first_omitted_norm_sq`` is the squared norm of the first
-    omitted level, (n_levels + 1)^(-2/3).
+    The spike variables are neither centered nor orthogonal.  Their Gram matrix
+    is a a^T + diag(c), a_n = n^(-5/6), c_n = n^(-2/3) - a_n^2 (c_1 = 0), and
+    Gram-Schmidt with the largest pivot first has a closed form: the first
+    pivot f_1 (norm 1, a_1 = 1) leaves the Schur complement diag(c) exactly, in
+    floating point too, as each off-diagonal entry is a_n a_m - a_n a_m.  So
+    f_n has coordinate a_n on basis vector 0 and, for n >= 2, sqrt(c_n) on
+    basis vector j, the rank of c_n in decreasing c_2, ..., c_N (from 1).
+    ``first_omitted_norm_sq`` is the squared norm of the first omitted level,
+    (n_levels + 1)^(-2/3).
     """
     if n_levels < 2:
         raise ValueError(f"n_levels must be >= 2, got {n_levels}")
-    G = spike_gram(n_levels)
-    L, _ = pivoted_cholesky(G)
+    n = np.arange(1, n_levels + 1, dtype=float)
+    a = n ** (-5.0 / 6.0)
+    c = n ** (-2.0 / 3.0) - a * a
+    L = np.zeros((n_levels, n_levels))
+    L[:, 0] = a
+    order = 1 + np.argsort(-c[1:], kind="stable")  # levels 2..N by decreasing pivot
+    L[order, np.arange(1, n_levels)] = np.sqrt(c[order])
     table = np.ascontiguousarray(L.T)  # row m: coordinate m of spike variables 1..N
 
     def evaluator(ts):
@@ -357,7 +331,6 @@ def rare_spike_weight(n_levels) -> RareSpikeWeight:
         sup_norms=np.max(np.abs(L), axis=0),
         first_omitted_norm_sq=float((n_levels + 1) ** (-2.0 / 3.0)),
         basis_label=f"spike-gs-{n_levels}",
-        gram_matrix=G,
         coord_rows=L,
     )
 

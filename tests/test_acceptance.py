@@ -21,7 +21,7 @@ from silt import (Brick, EnsembleConfig, ExperimentConfig, FiniteCompact,
                   ensemble_renormalized, image_slt, isonormal_sample,
                   minkowski_cover, project_cover, rare_spike_weight,
                   renorm_double_mean, run_experiment, sample_path,
-                  simplex_functional)
+                  simplex_functional, spike_gram)
 from silt.slt_core import RENORM_DOUBLE_LIMIT
 
 UNIT = ScalarWeight.constant(1.0)
@@ -90,8 +90,8 @@ def test_criterion_03_trend_toward_limit(converge_run):
 
 
 def test_criterion_04_brute_force_equivalence():
-    rho = ScalarWeight.from_function(
-        lambda u: 1.0 + 0.5 * np.sin(u[:, 0]) + 0.25 * np.cos(2 * u[:, 1]))
+    rho = ScalarWeight(
+        evaluator=lambda u: 1.0 + 0.5 * np.sin(u[:, 0]) + 0.25 * np.cos(2 * u[:, 1]))
     sizes = [8, 16, 32, 64]
     worst = 0.0
     checked = 0
@@ -213,8 +213,8 @@ def test_criterion_08b_increment_threshold():
     # In the pivoted Gram-Schmidt basis the profile is _spike_increment_law, with
     # D_m = m**(-2/3)(1 - 1/m) decreasing for m >= 3, so profile index i holds
     # D_{i+1} for i >= 3 and does not move when the chain is extended.  The
-    # first level below 1e-3 is m* = 31622; a dense factorization there needs
-    # an 8.0 GB Gram matrix, so the program is checked against the law at
+    # first level below 1e-3 is m* = 31622; the weight's dense coordinate table
+    # there alone takes 8.0 GB, so the program is checked against the law at
     # feasible truncations and the index is read off the law.
     threshold = 1e-3
     truncations = (50, 400)
@@ -248,8 +248,8 @@ def test_criterion_08b_increment_threshold():
 def test_criterion_09_isonormal_fidelity():
     weight = rare_spike_weight(6)
     skeleton = FiniteCompact(points=weight.coord_rows[:5], basis_label=weight.basis_label)
-    sample = isonormal_sample(skeleton, 10_000, seed=3)
-    G = weight.gram_matrix[:5, :5]
+    sample = isonormal_sample(skeleton.gram(), 10_000, seed=3)
+    G = spike_gram(6)[:5, :5]
     frob = np.linalg.norm(sample.empirical_covariance() - G) / np.linalg.norm(G)
     assert frob <= 0.05
 

@@ -7,7 +7,7 @@ from silt import (Brick, CovarianceOracle, FiniteCompact,
                   NotPositiveSemidefiniteError, brick_contains,
                   canonical_metric, coordinate_sup_profile, covering_brick,
                   dudley_estimate, isonormal_sample, minkowski_cover,
-                  project_cover, rare_spike_weight)
+                  project_cover, rare_spike_weight, spike_gram)
 
 
 def spike_skeleton(n_levels=6, n_points=5):
@@ -115,22 +115,22 @@ def test_brick_validation():
 
 def test_isonormal_single_point_variance():
     u = np.array([[0.8, -0.6, 0.3]])
-    sample = isonormal_sample(FiniteCompact(points=u), 10_000, seed=2)
+    sample = isonormal_sample(FiniteCompact(points=u).gram(), 10_000, seed=2)
     var = sample.draws.var(ddof=1)
     assert abs(var - 1.09) <= 0.05 * 1.09  # ||u||^2 = 0.64 + 0.36 + 0.09
 
 
 def test_isonormal_coincident_points_correlated():
     pts = np.array([[1.0, 0.5], [1.0, 0.5]])
-    sample = isonormal_sample(FiniteCompact(points=pts), 5000, seed=3)
+    sample = isonormal_sample(FiniteCompact(points=pts).gram(), 5000, seed=3)
     corr = np.corrcoef(sample.draws.T)[0, 1]
     assert corr >= 0.999
 
 
 def test_isonormal_empirical_covariance_frobenius():
-    w, sk = spike_skeleton()
-    sample = isonormal_sample(sk, 10_000, seed=3)
-    G = w.gram_matrix[:5, :5]
+    _, sk = spike_skeleton()
+    sample = isonormal_sample(sk.gram(), 10_000, seed=3)
+    G = spike_gram(6)[:5, :5]
     rel = np.linalg.norm(sample.empirical_covariance() - G) / np.linalg.norm(G)
     assert rel <= 0.05
 
@@ -138,9 +138,9 @@ def test_isonormal_empirical_covariance_frobenius():
 def test_isonormal_canonical_metric_identity():
     # testable core of the embedding hypothesis: increment variances equal
     # squared canonical distances
-    w, sk = spike_skeleton()
-    sample = isonormal_sample(sk, 10_000, seed=3)
-    dist = canonical_metric(w.gram_matrix[:5, :5])
+    _, sk = spike_skeleton()
+    sample = isonormal_sample(sk.gram(), 10_000, seed=3)
+    dist = canonical_metric(spike_gram(6)[:5, :5])
     for i in range(5):
         for j in range(i + 1, 5):
             sq = (sample.draws[:, i] - sample.draws[:, j]) ** 2
@@ -150,26 +150,29 @@ def test_isonormal_canonical_metric_identity():
 
 def test_isonormal_deterministic_and_validated():
     _, sk = spike_skeleton()
-    a = isonormal_sample(sk, 100, seed=8)
-    b = isonormal_sample(sk, 100, seed=8)
+    a = isonormal_sample(sk.gram(), 100, seed=8)
+    b = isonormal_sample(sk.gram(), 100, seed=8)
     assert np.array_equal(a.draws, b.draws)
     with pytest.raises(ValueError):
-        isonormal_sample(sk, 1, seed=8)
+        isonormal_sample(sk.gram(), 1, seed=8)
 
 
 def test_isonormal_rejects_indefinite_oracle():
     broken = CovarianceOracle(
         evaluator=lambda pts: np.where(np.eye(len(pts), dtype=bool), 0.1, -1.0))
     with pytest.raises((NotPositiveSemidefiniteError, ValueError)):
-        isonormal_sample(np.array([[0.0, 0.0], [1.0, 0.0]]), 100, seed=1, oracle=broken)
+        isonormal_sample(broken.gram(np.array([[0.0, 0.0], [1.0, 0.0]])), 100, seed=1)
+    with pytest.raises(NotPositiveSemidefiniteError):
+        isonormal_sample(np.where(np.eye(2, dtype=bool), 0.1, -1.0), 100, seed=1)
+    with pytest.raises(ValueError, match="square and symmetric"):
+        isonormal_sample(np.eye(3)[:2], 100, seed=1)
 
 
 def test_isonormal_oracle_route_matches_gram():
-    w, sk = spike_skeleton()
-    G = w.gram_matrix[:5, :5]
+    _, sk = spike_skeleton()
     oracle = CovarianceOracle(evaluator=lambda pts: pts @ pts.T, name="dot")
-    sample = isonormal_sample(sk.points, 500, seed=4, oracle=oracle)
-    direct = isonormal_sample(sk, 500, seed=4)
+    sample = isonormal_sample(oracle.gram(sk.points), 500, seed=4)
+    direct = isonormal_sample(sk.gram(), 500, seed=4)
     np.testing.assert_allclose(sample.draws, direct.draws, atol=1e-12)
 
 
@@ -178,23 +181,22 @@ def test_isonormal_oracle_route_matches_gram():
 # ---------------------------------------------------------------------------
 
 def test_dudley_single_point_zero():
-    fc = FiniteCompact(points=np.zeros((1, 2)))
-    assert dudley_estimate(fc, np.zeros((1, 1))) == 0.0
+    assert dudley_estimate(np.zeros((1, 1))) == 0.0
 
 
 @pytest.mark.parametrize("d", [1.0, 0.37])
 def test_dudley_two_points(d):
-    fc = FiniteCompact(points=np.array([[0.0], [d]]))
     metric = np.array([[0.0, d], [d, 0.0]])
-    assert dudley_estimate(fc, metric) == pytest.approx(d * np.sqrt(np.log(2)), rel=1e-12)
+    assert dudley_estimate(metric) == pytest.approx(d * np.sqrt(np.log(2)), rel=1e-12)
 
 
 def test_dudley_validation():
-    fc = FiniteCompact(points=np.zeros((2, 1)))
-    with pytest.raises(ValueError):
-        dudley_estimate(fc, np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric
-    with pytest.raises(ValueError):
-        dudley_estimate(fc, np.array([[0.5, 1.0], [1.0, 0.0]]))  # nonzero diagonal
+    with pytest.raises(ValueError, match="symmetric"):
+        dudley_estimate(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    with pytest.raises(ValueError, match="zero diagonal"):
+        dudley_estimate(np.array([[0.5, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="square"):
+        dudley_estimate(np.zeros((2, 3)))
 
 
 def test_dudley_spike_skeleton_finite_and_monotone_under_truncation():
@@ -205,8 +207,7 @@ def test_dudley_spike_skeleton_finite_and_monotone_under_truncation():
     values = []
     for frac in (0.25, 0.5, 0.75, 1.0):
         m = max(2, int(len(ts) * frac))
-        fc = FiniteCompact(points=coords[:m])
-        values.append(dudley_estimate(fc, full_metric[:m, :m]))
+        values.append(dudley_estimate(full_metric[:m, :m]))
     assert all(np.isfinite(values))
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
@@ -236,5 +237,4 @@ def test_brick_tail_bound_validation_and_sq_sum():
 def test_isonormal_sample_shape_validation():
     from silt import IsonormalSample
     with pytest.raises(ValueError):
-        IsonormalSample(points=np.zeros((3, 2)), draws=np.zeros((10, 2)), seed=0,
-                        gram=np.eye(3))
+        IsonormalSample(draws=np.zeros((10, 2)), seed=0, gram=np.eye(3))

@@ -361,6 +361,16 @@ def test_main_rejects_non_finite_eps_before_running(eps, tmp_path, capsys):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("weight", ["const:inf", "const:nan", "const:-1e400"])
+def test_main_rejects_non_finite_constant_weight_before_running(weight, tmp_path, capsys):
+    code = main(["--subcommand", "converge", "--weight", weight, "--eps", "0.2", "--paths", "4",
+                 "--steps", "32", "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "config error: constant weight needs a numeric 'value' that is finite" in \
+        capsys.readouterr().out
+    assert not os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize("subcommand,weight", [("hilbert", "rare-spike:abc"),
                                                ("brick-check", "occupation:x"),
                                                ("converge", "const:x")])
@@ -488,9 +498,18 @@ def test_hilbert_multiple_eps_levels(tmp_path):
     ({"subcommand": "brick-check",
       "weight_spec": {"kind": "occupation", "mc_samples": 150, "grid": [[True, False], [0.5, 0.0]]}},
      "occupation grid must be a list of finite planar points"),
+    # fractional counts, which int() would truncate, and values int() cannot convert
+    ({"subcommand": "hilbert", "weight_spec": {"kind": "rare-spike", "n_levels": 5.9}},
+     "rare-spike weight needs an integer n_levels >= 2, got 5.9"),
+    ({"subcommand": "brick-check", "weight_spec": {"kind": "occupation", "mc_samples": 150.5}},
+     "occupation weight needs an integer mc_samples >= 100, got 150.5"),
+    ({"k": float("inf")}, "k must be an integer, got inf"),
+    ({"weight_spec": {"kind": "constant", "value": float("nan")}},
+     "constant weight needs a numeric 'value' that is finite, got nan"),
 ], ids=["seed", "k", "n_paths", "workers-float", "eps_list", "k-with-jacobian",
         "image-check-k1", "map-list", "quad-nodes", "lemma-delta-k1", "lemma-delta-k4",
-        "grid-origin", "grid-text", "eps_list-bool", "constant-value-bool", "grid-bool"])
+        "grid-origin", "grid-text", "eps_list-bool", "constant-value-bool", "grid-bool",
+        "n_levels-float", "mc_samples-float", "k-inf", "constant-value-nan"])
 def test_main_reports_malformed_config_fields(fields, message, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"subcommand": "converge",

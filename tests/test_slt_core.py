@@ -105,7 +105,7 @@ def test_three_node_hand_computation():
 
 @pytest.mark.parametrize("n,k", [(16, 2), (16, 3), (48, 2), (48, 3)])
 def test_oracle_equivalence(n, k):
-    rho = ScalarWeight.from_function(lambda u: 1.0 + 0.5 * np.sin(u[:, 0]) + 0.25 * u[:, 1] ** 2)
+    rho = ScalarWeight(evaluator=lambda u: 1.0 + 0.5 * np.sin(u[:, 0]) + 0.25 * u[:, 1] ** 2)
     for stream in range(5):
         p = sample_path(n, seed=31, stream=stream)
         vals = rho.values(p.points[:n])
@@ -260,9 +260,9 @@ def test_float32_levels_within_1e7_of_float64_on_a_smallest_grid():
 def test_linearity_in_weight(a, b, n, k, stream):
     # nonnegative parts, so that a * va + b * vb bounds the rounding of every term
     p = sample_path(n, seed=8, stream=stream)
-    f = ScalarWeight.from_function(lambda u: 1.0 + 0.5 * np.sin(u[:, 0]))
-    g = ScalarWeight.from_function(lambda u: u[:, 1] ** 2)
-    combo = ScalarWeight.from_function(lambda u: a * (1.0 + 0.5 * np.sin(u[:, 0])) + b * u[:, 1] ** 2)
+    f = ScalarWeight(evaluator=lambda u: 1.0 + 0.5 * np.sin(u[:, 0]))
+    g = ScalarWeight(evaluator=lambda u: u[:, 1] ** 2)
+    combo = ScalarWeight(evaluator=lambda u: a * (1.0 + 0.5 * np.sin(u[:, 0])) + b * u[:, 1] ** 2)
     va, vb, vc = (simplex_functional(p, w, 0.3, k).value for w in (f, g, combo))
     assert abs(vc - (a * va + b * vb)) <= 1e-12 * (abs(a * va) + abs(b * vb)) + 1e-290
 
@@ -506,7 +506,7 @@ def test_failing_batch_cancels_the_queued_ones(workers):
 
     cfg = EnsembleConfig(n_paths=200, n_steps=64, seed=1, workers=workers)
     with pytest.raises(RuntimeError) as info:
-        ensemble_renormalized(cfg, [0.2], 2, ScalarWeight.from_function(failing))
+        ensemble_renormalized(cfg, [0.2], 2, ScalarWeight(evaluator=failing))
     assert info.value is error
     assert 1 <= len(calls) <= workers
 
@@ -584,7 +584,7 @@ def test_nonfinite_weight_names_first_bad_path():
 
     cfg = EnsembleConfig(n_paths=8, n_steps=n, seed=3, workers=1)
     with pytest.raises(ValueError, match=f"non-finite functional value at path {bad} "):
-        ensemble_renormalized(cfg, [0.2], 2, ScalarWeight.from_function(spiky))
+        ensemble_renormalized(cfg, [0.2], 2, ScalarWeight(evaluator=spiky))
 
 
 @settings(max_examples=15, deadline=None)

@@ -6,10 +6,10 @@ from scipy.special import exp1
 
 import silt
 from silt import (EnsembleConfig, HilbertSltResult, HilbertWeight,
-                  RadialParameterMap, RankDeficiencyError, ScalarWeight,
+                  RadialParameterMap, ScalarWeight,
                   SingularityError, coordinate_sup_profile, ensemble_renormalized,
                   estimate_renormalized, jacobian_weight, occupation_density_field,
-                  occupation_kernel, pivoted_cholesky, rare_spike_weight,
+                  occupation_kernel, rare_spike_weight,
                   sample_path_points, spike_gram)
 from silt.image import affine_map, builtin_maps
 from silt.weights import _exp1
@@ -27,7 +27,7 @@ def const_coords_weight(values, first_omitted=0.0):
 # ---------------------------------------------------------------------------
 
 def test_scalar_weight_sup_norm_enforced():
-    w = ScalarWeight.from_function(lambda u: u[:, 0], sup_norm=0.5)
+    w = ScalarWeight(evaluator=lambda u: u[:, 0], sup_norm=0.5)
     w.values(np.array([[0.3, 0.0]]))
     with pytest.raises(ValueError, match="sup_norm"):
         w.values(np.array([[0.9, 0.0]]))
@@ -82,11 +82,19 @@ def test_spike_gram_positive_definite():
     assert eigs[0] > 0
 
 
-def test_spike_coordinates_reproduce_norms():
-    w = rare_spike_weight(30)
-    norms = (w.coord_rows**2).sum(axis=1)
-    np.testing.assert_allclose(norms, np.arange(1, 31) ** (-2 / 3), atol=1e-10)
-    np.testing.assert_allclose(w.coord_rows @ w.coord_rows.T, w.gram_matrix, atol=1e-12)
+@pytest.mark.parametrize("N", [2, 3, 30, 400])
+def test_spike_coordinates_reproduce_norms(N):
+    # closed-form basis: f_n = a_n e_0 + sqrt(c_n) e_rank(n), pivots largest first
+    L = rare_spike_weight(N).coord_rows
+    n = np.arange(1, N + 1, dtype=float)
+    norms = (L**2).sum(axis=1)
+    np.testing.assert_allclose(norms, n ** (-2 / 3), atol=1e-10)
+    np.testing.assert_allclose(L @ L.T, spike_gram(N), atol=1e-12)
+    np.testing.assert_array_equal(L[:, 0], n ** (-5 / 6))
+    assert np.all(np.count_nonzero(L[:, 1:], axis=1) == np.r_[0, np.ones(N - 1)])
+    assert np.all(np.count_nonzero(L[:, 1:], axis=0) == 1)
+    pivots = L[:, 1:].sum(axis=0)  # the one nonzero entry of each column j >= 1
+    assert np.all(pivots > 0) and np.all(np.diff(pivots) < 0)
 
 
 def test_spike_interpolation_endpoint_values():
@@ -165,13 +173,6 @@ def test_spike_coordinates_evaluated_together_keep_their_checks():
         short.coordinate_values(np.array([1.0, 2.0, 3.0]))
 
 
-def test_pivoted_cholesky_rank_deficiency():
-    G = np.ones((3, 3))  # rank one
-    with pytest.raises(RankDeficiencyError) as exc:
-        pivoted_cholesky(G)
-    assert exc.value.index in (1, 2)
-
-
 def test_radial_parameter_map():
     m = RadialParameterMap(t_max=10.0)
     np.testing.assert_allclose(m(np.array([[3.0, 4.0]])), [6.0])
@@ -239,7 +240,7 @@ def test_hilbert_spike_levels_match_each_coordinate_alone(dtype):
     coupled = ensemble_renormalized(cfg, [0.2, 0.1], 3, w).levels
     scale = np.abs(coupled).max()  # measured worst deviation: 6.9e-17 of it
     for m in range(n_levels):
-        alone = ScalarWeight.from_function(lambda pts, m=m: w.coordinate_values(pts)[m])
+        alone = ScalarWeight(evaluator=lambda pts, m=m: w.coordinate_values(pts)[m])
         single = ensemble_renormalized(cfg, [0.2, 0.1], 3, alone).levels[:, 0]
         np.testing.assert_allclose(coupled[:, m], single, rtol=0, atol=1e-15 * scale)
 
