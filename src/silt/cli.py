@@ -148,22 +148,22 @@ class ExperimentConfig:
                               seed=self.seed, workers=self.workers, dtype=self.dtype)
 
 
-def _holds_bool(value):
-    """Whether ``value`` is a boolean, or a list or tuple that holds one at any depth.
+def _non_numeric(value):
+    """Whether ``value`` is, or is a list or tuple that holds at any depth, a boolean or a string.
 
-    Python reads a JSON ``true`` as the number 1, so numeric fields check for it.
+    Python reads a JSON ``true`` as 1 and float() reads the JSON string "2" as 2.0.
     """
     if isinstance(value, (list, tuple)):
-        return any(_holds_bool(v) for v in value)
-    return isinstance(value, (bool, np.bool_))
+        return any(_non_numeric(v) for v in value)
+    return isinstance(value, (bool, np.bool_, str))
 
 
 def _spec_number(spec, key, kind):
-    """``kind(spec[key])``, or None when the entry is missing, a boolean or does not
-    convert; an ``int`` entry must already be an integer (5.9, 2.0 and "3" give None)."""
+    """``kind(spec[key])``, or None when the entry is missing, a boolean, a string or
+    does not convert; an ``int`` entry must already be an integer (5.9 and 2.0 give None)."""
     try:
         value = spec[key]
-        number = None if _holds_bool(value) else kind(value)
+        number = None if _non_numeric(value) else kind(value)
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
     if kind is int and (number != value or isinstance(value, float)):
@@ -177,7 +177,7 @@ def _grid_problems(grid):
         pts = np.atleast_2d(np.asarray(grid, dtype=float))
     except (TypeError, ValueError):
         pts = np.empty((0, 0))
-    if _holds_bool(grid) or pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
+    if _non_numeric(grid) or pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
         return [f"occupation grid must be a list of finite planar points, got {grid!r}"]
     if np.any(np.all(pts == 0.0, axis=1)):
         return ["occupation grid must exclude the origin, where the kernel diverges"]
@@ -188,7 +188,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON configuration document."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ConfigError([f"configuration is not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["configuration must be a JSON object"])

@@ -20,7 +20,7 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .path_sim import PlanarPath
-from .slt_core import simplex_levels
+from .slt_core import _as_weight_rows, simplex_levels
 from .weights import jacobian_weight
 
 
@@ -132,22 +132,17 @@ def image_slt(path: PlanarPath, F: Diffeomorphism, epsilon, k) -> ImageIdentity:
     """Image-path functional evaluated both ways.
 
     Route (a) sweeps the roundtrip nodes F^-1(F(w)) with the Jacobian weight;
-    route (b) sweeps the original nodes w with the same weight.  Neither
-    sweeps the image path F(w) itself, so the residual measures only how
-    closely the numeric inverse map undoes the forward map (plus rounding),
-    not the image construction.
+    route (b) sweeps the original nodes w with the same weight.  Both routes
+    are swept in one batched call, as two paths.  Neither sweeps the image
+    path F(w) itself, so the residual measures only how closely the numeric
+    inverse map undoes the forward map (plus rounding), not the image
+    construction.
     """
     if k < 2:
         raise ValueError(f"image functional needs k >= 2, got {k}")
-    n = path.n_steps
-    rho = jacobian_weight(F, k)
-
-    u_hat = F.inverse(F.forward(path.points))
-    rows_a = rho.values(u_hat[:n])[None, None, :]
-    val_a = float(simplex_levels(u_hat[None], rows_a, [epsilon], k)[0, 0, 0, k - 1])
-
-    rows_b = rho.values(path.points[:n])[None, None, :]
-    val_b = float(simplex_levels(path.points[None], rows_b, [epsilon], k)[0, 0, 0, k - 1])
+    routes = np.stack([F.inverse(F.forward(path.points)), path.points])
+    levels = simplex_levels(routes, _as_weight_rows(jacobian_weight(F, k), routes), [epsilon], k)
+    val_a, val_b = (float(v) for v in levels[:, 0, 0, k - 1])
 
     denom = max(abs(val_a), abs(val_b))
     residual = 0.0 if denom == 0.0 else abs(val_a - val_b) / denom

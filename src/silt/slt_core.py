@@ -124,9 +124,7 @@ def _as_weight_rows(rho, pts):
     """Weight values at path nodes 0..n-1 for a batch: (B, M, n)."""
     B, n = pts.shape[0], pts.shape[1] - 1
     flat = pts[:, :n, :].reshape(B * n, 2)
-    if hasattr(rho, "coordinate_values"):
-        return rho.coordinate_values(flat).reshape(-1, B, n).transpose(1, 0, 2)
-    return np.asarray(rho.values(flat), dtype=float).reshape(B, 1, n)
+    return rho.coordinate_values(flat).reshape(-1, B, n).transpose(1, 0, 2)
 
 
 #: C compiler that builds the kernel sweep ``_sweep.c`` at import
@@ -315,13 +313,14 @@ def simplex_functional(path: PlanarPath, rho, epsilon, k) -> SimplexEstimate:
     """Grid simplex functional of one path for weight rho at multiplicity k.
 
     The full ordered-tuple sum, evaluated in float64 by the O(k n^2) chain
-    recursion of ``simplex_levels``.
+    recursion of ``simplex_levels``.  ``rho`` must have one coordinate.
     """
-    n = path.n_steps
-    rho_vals = np.asarray(rho.values(path.points[:n]), dtype=float)
-    levels = simplex_levels(path.points[None], rho_vals[None, None, :], [epsilon], k)
+    if rho.n_coords != 1:
+        raise ValueError(f"simplex_functional needs one weight coordinate, got {rho.n_coords}")
+    pts = path.points[None]
+    levels = simplex_levels(pts, _as_weight_rows(rho, pts), [epsilon], k)
     return SimplexEstimate(value=float(levels[0, 0, 0, k - 1]), k=k,
-                           epsilon=float(epsilon), n_steps=n)
+                           epsilon=float(epsilon), n_steps=path.n_steps)
 
 
 def dynkin_renormalize(t_values, epsilon, k=None):

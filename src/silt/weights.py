@@ -1,12 +1,13 @@
-"""Weight functions: scalar, Jacobian-induced, and Hilbert-valued.
+"""Weight functions: one Hilbert-valued weight type, with scalar weights its M = 1 case.
 
-A Hilbert-valued weight is one evaluator of finitely many coordinates
-u -> (rho(u), e_m) in a labeled orthonormal basis plus a declared number
-about the omitted coordinates, ``first_omitted_norm_sq`` (for the rare-spike
-weight, the squared norm of the first omitted level; it is no bound on the
-square sum of the omitted coordinate sups, which diverges there).  The
-square-summability profile of the coordinate sups decides whether the
-weight's range fits in a covering brick (see the brick module).
+A weight is one evaluator of its M coordinates u -> (rho(u), e_m) in a
+labeled orthonormal basis, a declared sup bound per coordinate, and a declared
+number about the omitted coordinates, ``first_omitted_norm_sq`` (for the
+rare-spike weight, the squared norm of the first omitted level; it is no bound
+on the square sum of the omitted coordinate sups, which diverges there).  A
+scalar weight is the case M = 1.  The square-summability profile of the
+coordinate sups decides whether the weight's range fits in a covering brick
+(see the brick module).
 
 Two concrete random-field weights are provided: a piecewise-linear chain of
 independent rare-spike variables (unbounded sup, vanishing norms) and a
@@ -31,45 +32,16 @@ from .slt_core import MCStats
 # ---------------------------------------------------------------------------
 
 def _checked(values, sups, name):
-    """``values`` after checking |values| <= ``sups`` along the last axis.
-
-    ``sups`` is one bound, or one per row of a 2-D ``values``; None skips the check.
-    """
-    if sups is None or values.size == 0:
+    """``values`` (M, m) after checking |values[i]| <= ``sups[i]``; ``inf`` declares no bound."""
+    if values.size == 0:
         return values
     worst = np.maximum(np.max(values, axis=-1), -np.min(values, axis=-1))  # no |values| copy
-    over = np.ravel(worst > np.asarray(sups) * (1 + 1e-12) + 1e-300)
+    over = worst > sups * (1 + 1e-12) + 1e-300
     if over.any():
         i = int(np.argmax(over))
-        where = f" coordinate {i}" if np.ndim(sups) else ""
-        raise ValueError(
-            f"weight {name or '<anonymous>'}{where} exceeded its declared sup_norm "
-            f"{np.ravel(sups)[i]:g} (observed {np.ravel(worst)[i]:g})"
-        )
+        raise ValueError(f"weight {name or '<anonymous>'} coordinate {i} exceeded its declared "
+                         f"sup_norm {sups[i]:g} (observed {worst[i]:g})")
     return values
-
-
-@dataclass(frozen=True)
-class ScalarWeight:
-    """Real-valued weight: a vectorized evaluator plus an optional declared sup bound.
-
-    ``evaluator`` maps an (m, d) array of points to an (m,) array.  When
-    ``sup_norm`` is declared, every evaluation is checked against it.
-    """
-
-    evaluator: object
-    sup_norm: float | None = None
-    name: str = ""
-
-    def values(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        return _checked(np.asarray(self.evaluator(pts), dtype=float), self.sup_norm, self.name)
-
-    @staticmethod
-    def constant(c, name=None):
-        value = float(c)
-        return ScalarWeight(evaluator=lambda pts: np.full(np.asarray(pts).shape[0], value),
-                            sup_norm=abs(value), name=name or f"const({c:g})")
 
 
 @dataclass(frozen=True)
@@ -133,6 +105,29 @@ class HilbertWeight:
                              sup_norms=self.sup_norms,
                              first_omitted_norm_sq=self.first_omitted_norm_sq,
                              basis_label=self.basis_label)
+
+
+class ScalarWeight(HilbertWeight):
+    """Real-valued weight: the Hilbert weight of one coordinate.
+
+    ``evaluator`` maps an (m, d) array of points to an (m,) array; ``sup_norm``
+    is its declared bound (None declares none) and ``name`` its basis label.
+    """
+
+    def __init__(self, evaluator, sup_norm=None, name=""):
+        super().__init__(evaluator=lambda pts: np.asarray(evaluator(pts))[None],
+                         sup_norms=math.inf if sup_norm is None else sup_norm,
+                         first_omitted_norm_sq=0.0, basis_label=name)
+
+    def values(self, pts):
+        """Values on a point set, shape (len(pts),)."""
+        return self.coordinate_values(pts)[0]
+
+    @staticmethod
+    def constant(c, name=None):
+        value = float(c)
+        return ScalarWeight(evaluator=lambda pts: np.full(np.asarray(pts).shape[0], value),
+                            sup_norm=abs(value), name=name or f"const({c:g})")
 
 
 @dataclass(frozen=True)

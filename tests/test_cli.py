@@ -62,6 +62,8 @@ def test_parse_rejects_unknown_fields_and_bad_json():
         parse_config('{"subcommand": "converge", "bogus": 1}')
     with pytest.raises(ConfigError, match="JSON"):
         parse_config("{not json")
+    with pytest.raises(ConfigError, match="not valid JSON: Exceeds the limit"):
+        parse_config('{"subcommand": "converge", "k": 1' + "0" * 5000 + "}")
     with pytest.raises(ConfigError, match="subcommand"):
         parse_config("{}")
 
@@ -506,10 +508,19 @@ def test_hilbert_multiple_eps_levels(tmp_path):
     ({"k": float("inf")}, "k must be an integer, got inf"),
     ({"weight_spec": {"kind": "constant", "value": float("nan")}},
      "constant weight needs a numeric 'value' that is finite, got nan"),
+    # JSON strings, which float() would convert
+    ({"eps_list": ["0.2", "0.1"]}, "eps_list must be a list of numbers"),
+    ({"weight_spec": {"kind": "constant", "value": "2"}},
+     "constant weight needs a numeric 'value' that is finite, got '2'"),
+    ({"subcommand": "brick-check",
+      "weight_spec": {"kind": "occupation", "mc_samples": 150,
+                      "grid": [["0.5", "0.1"], ["0", "0.7"]]}},
+     "occupation grid must be a list of finite planar points"),
 ], ids=["seed", "k", "n_paths", "workers-float", "eps_list", "k-with-jacobian",
         "image-check-k1", "map-list", "quad-nodes", "lemma-delta-k1", "lemma-delta-k4",
         "grid-origin", "grid-text", "eps_list-bool", "constant-value-bool", "grid-bool",
-        "n_levels-float", "mc_samples-float", "k-inf", "constant-value-nan"])
+        "n_levels-float", "mc_samples-float", "k-inf", "constant-value-nan",
+        "eps_list-text", "constant-value-text", "grid-text-numbers"])
 def test_main_reports_malformed_config_fields(fields, message, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"subcommand": "converge",

@@ -1,0 +1,57 @@
+"""The silt names the benchmark harness in ``perfbench/`` builds and traces through.
+
+The harness sets up every workload with ``workloads.build_op`` and
+``workloads.build_weights`` and installs ``spans.Tracer``, which rebinds
+public silt functions and methods by name.  These tests fail when one of
+those names goes.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import silt
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads")
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_every_workload_builds_its_op_and_weights(workload, tmp_path):
+    op = workloads.build_op(workload, seed=1, workers=1, out_dir=str(tmp_path))
+    assert op
+    pts = np.array([[0.5, 0.0], [0.0, 0.5]])
+    for _, cfg in op:
+        weight = workloads.build_weights(cfg)
+        if isinstance(weight, silt.HilbertWeight):
+            assert weight.coordinate_values(pts).shape == (weight.n_coords, 2)
+        else:
+            assert weight.oracle.gram(weight.grid).shape == (1, 1)
+
+
+def test_span_tracer_installs_and_uninstalls():
+    spans = _load("spans")
+    originals = (silt.slt_core.simplex_levels, silt.image.image_slt,
+                 silt.ScalarWeight.__dict__["values"],
+                 silt.HilbertWeight.__dict__["coordinate_values"])
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert silt.slt_core.simplex_levels is not originals[0]
+        assert silt.image.image_slt is not originals[1]
+    finally:
+        tracer.uninstall()
+    assert (silt.slt_core.simplex_levels, silt.image.image_slt,
+            silt.ScalarWeight.__dict__["values"],
+            silt.HilbertWeight.__dict__["coordinate_values"]) == originals

@@ -275,6 +275,13 @@ def test_simplex_validation_and_guard():
         simplex_functional(p, UNIT, 0.0, 2)
 
 
+def test_simplex_functional_refuses_a_weight_of_several_coordinates():
+    p = sample_path(16, seed=8)
+    spike = rare_spike_weight(4).compose(RadialParameterMap(t_max=4.0))
+    with pytest.raises(ValueError, match="one weight coordinate, got 4"):
+        simplex_functional(p, spike, 0.3, 2)
+
+
 # ---------------------------------------------------------------------------
 # renormalization
 # ---------------------------------------------------------------------------

@@ -33,6 +33,19 @@ def test_scalar_weight_sup_norm_enforced():
         w.values(np.array([[0.9, 0.0]]))
 
 
+def test_scalar_weight_is_the_one_coordinate_hilbert_weight():
+    w = ScalarWeight(evaluator=lambda u: u[:, 0] - u[:, 1], sup_norm=2.0, name="diff")
+    pts = np.array([[0.5, 0.25], [1.0, -0.5], [0.0, 1.5]])
+    assert isinstance(w, HilbertWeight) and w.n_coords == 1
+    coords = w.coordinate_values(pts)
+    assert coords.shape == (1, 3)
+    assert np.array_equal(coords[0], w.values(pts))
+    shifted = w.compose(lambda u: u + 1.0)
+    assert np.array_equal(shifted.coordinate_values(pts), w.coordinate_values(pts + 1.0))
+    with pytest.raises(ValueError, match="weight diff coordinate 0 exceeded its declared sup_norm"):
+        w.values(np.array([[3.0, 0.0]]))
+
+
 # ---------------------------------------------------------------------------
 # square-summability profile
 # ---------------------------------------------------------------------------
