@@ -17,10 +17,10 @@ from .slt_core import (RENORM_DOUBLE_LIMIT, CauchyRow, EnsembleConfig,
                        ensemble_renormalized, estimate_renormalized,
                        renorm_double_mean, simplex_functional, simplex_levels)
 from .weights import (CovarianceOracle, HilbertSltResult, HilbertWeight,
-                      OccupationField, RadialParameterMap, RareSpikeWeight,
-                      ScalarWeight, SupProfile, coordinate_sup_profile,
-                      jacobian_weight, occupation_density_field,
-                      occupation_kernel, rare_spike_weight, spike_gram)
+                      OccupationField, RadialParameterMap, ScalarWeight,
+                      SupProfile, coordinate_sup_profile, jacobian_weight,
+                      occupation_density_field, occupation_kernel,
+                      rare_spike_weight, spike_gram, spike_grid)
 from .brick import (Brick, FiniteCompact, IsonormalSample, brick_contains,
                     canonical_metric, covering_brick, dudley_estimate,
                     isonormal_sample, minkowski_cover, project_cover)

@@ -24,7 +24,7 @@ from .slt_core import EnsembleConfig, _one_blas_thread, ensemble_renormalized, r
 from .path_sim import sample_path
 from .weights import (HilbertSltResult, RadialParameterMap, ScalarWeight,
                       coordinate_sup_profile, jacobian_weight, occupation_density_field,
-                      rare_spike_weight)
+                      rare_spike_weight, spike_grid)
 from .brick import (FiniteCompact, brick_contains, canonical_metric,
                     covering_brick, dudley_estimate, isonormal_sample)
 from .image import builtin_maps, bump_function, delta_family_check, image_slt
@@ -333,7 +333,7 @@ def _run_brick_check(cfg):
 def _brick_check_spike(cfg):
     n_levels = int(cfg.weight_spec["n_levels"])
     weight = rare_spike_weight(n_levels)
-    grid = weight.default_grid()
+    grid = spike_grid(n_levels)
     profile = coordinate_sup_profile(weight, grid)
 
     coords = weight.coordinate_values(grid).T

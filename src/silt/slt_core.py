@@ -565,11 +565,14 @@ class CauchyRow:
 
 
 def cauchy_diagnostic(cfg: EnsembleConfig, eps_levels, k, rho):
-    """Coupled L2 gaps E[(V(eps_j) - V(eps_{j+1}))^2] along a decreasing scale ladder.
+    """Coupled L2 gaps E||V(eps_j) - V(eps_{j+1})||^2 along a decreasing scale ladder.
 
-    All levels reuse the same path ensemble, so the rows estimate the Cauchy
-    gaps of the renormalized family directly.  Requires at least two levels,
-    nonincreasing; repeated levels give exactly zero rows.
+    For a weight of M coordinates the squared gap is the Hilbert norm, the
+    sum over m of (V_m(eps_j) - V_m(eps_{j+1}))^2, taken per path before the
+    path mean (for a scalar weight, the one term).  All levels reuse the same
+    path ensemble, so the rows estimate the Cauchy gaps of the renormalized
+    family directly.  Requires at least two levels, nonincreasing; repeated
+    levels give exactly zero rows.
     """
     eps = np.asarray(eps_levels, dtype=float)
     if eps.size < 2:
@@ -579,8 +582,8 @@ def cauchy_diagnostic(cfg: EnsembleConfig, eps_levels, k, rho):
     result = ensemble_renormalized(cfg, eps, k, rho)
     rows = []
     for j in range(eps.size - 1):
-        diff = result.renormalized[:, 0, j] - result.renormalized[:, 0, j + 1]
+        diff = result.renormalized[:, :, j] - result.renormalized[:, :, j + 1]
         rows.append(CauchyRow(eps_high=float(eps[j]), eps_low=float(eps[j + 1]),
-                              mean_sq_diff=float(np.mean(diff * diff)),
+                              mean_sq_diff=float(np.mean(np.sum(diff * diff, axis=1))),
                               n_paths=cfg.n_paths))
     return rows

@@ -10,7 +10,8 @@ coordinate sups decides whether the weight's range fits in a covering brick
 (see the brick module).
 
 Two concrete random-field weights are provided: a piecewise-linear chain of
-independent rare-spike variables (unbounded sup, vanishing norms) and a
+independent rare-spike variables (unbounded sup, vanishing norms; its
+coordinates are a closed form with at most three nonzero per point) and a
 Gaussian-displaced occupation-density field with a log-singular kernel, the
 closed form E1(|u|^2 / 2) / (2 pi).
 
@@ -55,13 +56,14 @@ class RadialParameterMap:
         return np.minimum(1.0 + np.linalg.norm(pts, axis=-1), self.t_max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HilbertWeight:
     """Hilbert-valued weight: one evaluator for its M coordinates in a labeled basis.
 
     ``evaluator`` maps an (m, d) array of points to the (M, m) array of
     coordinate values; ``sup_norms`` holds the M declared bounds on their
-    absolute values (``inf`` declares none), checked on every evaluation.
+    absolute values (``inf`` declares none; NaN or a negative bound is
+    refused), checked on every evaluation.  Weights compare by identity.
 
     ``first_omitted_norm_sq`` is a declared nonnegative number about the
     omitted coordinates, reported alongside truncation diagnostics and never
@@ -80,6 +82,10 @@ class HilbertWeight:
         sups = np.array(self.sup_norms, dtype=float).reshape(-1)
         if sups.size < 1:
             raise ValueError("a Hilbert weight needs at least one coordinate")
+        bad = ~(sups >= 0)  # NaN or negative
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"sup_norms[{i}] is {sups[i]:g}; a sup must be >= 0 (inf: no bound)")
         if self.first_omitted_norm_sq < 0:
             raise ValueError("first_omitted_norm_sq must be >= 0")
         sups.setflags(write=False)
@@ -266,34 +272,26 @@ def spike_gram(n_levels) -> np.ndarray:
     return G
 
 
-@dataclass(frozen=True)
-class RareSpikeWeight(HilbertWeight):
-    """Interpolated chain of independent rare spikes, with its coordinate table attached.
+def spike_grid(n_levels, points_per_segment=8) -> np.ndarray:
+    """Uniform grid on [1, n_levels], ``points_per_segment`` steps per segment [n, n+1]."""
+    return np.linspace(1.0, n_levels, (n_levels - 1) * points_per_segment + 1)
+
+
+def rare_spike_weight(n_levels) -> HilbertWeight:
+    """Hilbert weight over the parameter domain [1, n_levels] from the spike chain.
 
     The value at parameter t in [n, n+1] interpolates the n-th and (n+1)-th
     spike variables linearly; norms decay like n^(-1/3), while the pointwise
-    sup of the family is infinite.  ``coord_rows[i]`` holds the coordinates of
-    the i-th spike variable in the orthonormalized basis, so
-    ``coord_rows @ coord_rows.T`` is ``spike_gram(N)``.
-    """
-
-    coord_rows: np.ndarray = field(default=None, repr=False)
-
-    def default_grid(self, points_per_segment=8):
-        n = self.n_coords
-        return np.linspace(1.0, n, (n - 1) * points_per_segment + 1)
-
-
-def rare_spike_weight(n_levels) -> RareSpikeWeight:
-    """Hilbert weight over the parameter domain [1, n_levels] from the spike chain.
-
-    The spike variables are neither centered nor orthogonal.  Their Gram matrix
-    is a a^T + diag(c), a_n = n^(-5/6), c_n = n^(-2/3) - a_n^2 (c_1 = 0), and
-    Gram-Schmidt with the largest pivot first has a closed form: the first
-    pivot f_1 (norm 1, a_1 = 1) leaves the Schur complement diag(c) exactly, in
-    floating point too, as each off-diagonal entry is a_n a_m - a_n a_m.  So
-    f_n has coordinate a_n on basis vector 0 and, for n >= 2, sqrt(c_n) on
-    basis vector j, the rank of c_n in decreasing c_2, ..., c_N (from 1).
+    sup of the family is infinite.  The spike variables are neither centered
+    nor orthogonal.  Their Gram matrix is a a^T + diag(c), a_n = n^(-5/6),
+    c_n = n^(-2/3) - a_n^2 (c_1 = 0), and Gram-Schmidt with the largest pivot
+    first has a closed form: the first pivot f_1 (norm 1, a_1 = 1) leaves the
+    Schur complement diag(c) exactly, in floating point too, as each
+    off-diagonal entry is a_n a_m - a_n a_m.  So f_n has coordinate a_n on
+    basis vector 0 and, for n >= 2, sqrt(c_n) on basis vector j, the rank of
+    c_n in decreasing c_2, ..., c_N (from 1).  A point of [n, n+1] thus has at
+    most three nonzero coordinates, and the evaluator fills just those from
+    the three length-N vectors a, sqrt(c) and the basis index.
     ``first_omitted_norm_sq`` is the squared norm of the first omitted level,
     (n_levels + 1)^(-2/3).
     """
@@ -302,32 +300,30 @@ def rare_spike_weight(n_levels) -> RareSpikeWeight:
     n = np.arange(1, n_levels + 1, dtype=float)
     a = n ** (-5.0 / 6.0)
     c = n ** (-2.0 / 3.0) - a * a
-    L = np.zeros((n_levels, n_levels))
-    L[:, 0] = a
-    order = 1 + np.argsort(-c[1:], kind="stable")  # levels 2..N by decreasing pivot
-    L[order, np.arange(1, n_levels)] = np.sqrt(c[order])
-    table = np.ascontiguousarray(L.T)  # row m: coordinate m of spike variables 1..N
+    s = np.sqrt(c)
+    col = np.zeros(n_levels, dtype=np.intp)  # basis vector of sqrt(c_n); 0 for level 1
+    col[1 + np.argsort(-c[1:], kind="stable")] = np.arange(1, n_levels)
 
     def evaluator(ts):
         """Every coordinate of the chain, interpolated linearly on [1, N]."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        N = table.shape[1]
-        if np.any(ts < 1.0 - 1e-12) or np.any(ts > N + 1e-12):
-            raise ValueError(f"parameter values must lie in [1, {N}]")
-        base = np.clip(np.floor(ts).astype(int), 1, N - 1)
-        frac = ts - base
-        out = np.empty((table.shape[0], ts.size))
-        for row, coeffs in zip(out, table):  # row by row, to bound the scratch arrays
-            np.add((1.0 - frac) * coeffs[base - 1], frac * coeffs[base], out=row)
+        if np.any(ts < 1.0 - 1e-12) or np.any(ts > n_levels + 1e-12):
+            raise ValueError(f"parameter values must lie in [1, {n_levels}]")
+        lo = np.clip(np.floor(ts).astype(np.intp), 1, n_levels - 1) - 1
+        frac = ts - (lo + 1)
+        at = np.arange(ts.size)
+        out = np.zeros((n_levels, ts.size))
+        out[0] = (1.0 - frac) * a[lo] + frac * a[lo + 1]
+        out[col[lo], at] += (1.0 - frac) * s[lo]
+        out[col[lo + 1], at] += frac * s[lo + 1]
         return out
 
-    return RareSpikeWeight(
-        evaluator=evaluator,
-        sup_norms=np.max(np.abs(L), axis=0),
-        first_omitted_norm_sq=float((n_levels + 1) ** (-2.0 / 3.0)),
-        basis_label=f"spike-gs-{n_levels}",
-        coord_rows=L,
-    )
+    sups = np.empty(n_levels)
+    sups[col] = s
+    sups[0] = a[0]
+    return HilbertWeight(evaluator=evaluator, sup_norms=sups,
+                         first_omitted_norm_sq=float((n_levels + 1) ** (-2.0 / 3.0)),
+                         basis_label=f"spike-gs-{n_levels}")
 
 
 # ---------------------------------------------------------------------------

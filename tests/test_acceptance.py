@@ -21,7 +21,7 @@ from silt import (Brick, EnsembleConfig, ExperimentConfig, FiniteCompact,
                   ensemble_renormalized, image_slt, isonormal_sample,
                   minkowski_cover, project_cover, rare_spike_weight,
                   renorm_double_mean, run_experiment, sample_path,
-                  simplex_functional, spike_gram)
+                  simplex_functional, spike_gram, spike_grid)
 from silt.slt_core import RENORM_DOUBLE_LIMIT
 
 UNIT = ScalarWeight.constant(1.0)
@@ -182,7 +182,7 @@ def test_criterion_08_brick_properties():
     assert all(brick_contains(v, pj) for v in proj)
 
     weight = rare_spike_weight(50)
-    grid = weight.default_grid()
+    grid = spike_grid(50)
     profile = coordinate_sup_profile(weight, grid)
     coords = weight.coordinate_values(grid).T
     spike_cover = covering_brick(FiniteCompact(points=coords, basis_label=weight.basis_label))
@@ -213,15 +213,16 @@ def test_criterion_08b_increment_threshold():
     # In the pivoted Gram-Schmidt basis the profile is _spike_increment_law, with
     # D_m = m**(-2/3)(1 - 1/m) decreasing for m >= 3, so profile index i holds
     # D_{i+1} for i >= 3 and does not move when the chain is extended.  The
-    # first level below 1e-3 is m* = 31622; the weight's dense coordinate table
-    # there alone takes 8.0 GB, so the program is checked against the law at
-    # feasible truncations and the index is read off the law.
+    # first level below 1e-3 is m* = 31622; there the profile's grid matrix of
+    # (N, 8(N - 1) + 1) coordinate values alone takes about 64 GB, so the program
+    # is checked against the law at feasible truncations and the index is read
+    # off the law.
     threshold = 1e-3
     truncations = (50, 400)
     profiles = {}
     for n in truncations:
         weight = rare_spike_weight(n)
-        profiles[n] = coordinate_sup_profile(weight, weight.default_grid()).sup_squares
+        profiles[n] = coordinate_sup_profile(weight, spike_grid(n)).sup_squares
         np.testing.assert_allclose(profiles[n], _spike_increment_law(n), rtol=0, atol=1e-10)
     short, long_ = (profiles[n] for n in truncations)
     np.testing.assert_array_equal(short, long_[:short.size])
@@ -247,7 +248,8 @@ def test_criterion_08b_increment_threshold():
 
 def test_criterion_09_isonormal_fidelity():
     weight = rare_spike_weight(6)
-    skeleton = FiniteCompact(points=weight.coord_rows[:5], basis_label=weight.basis_label)
+    skeleton = FiniteCompact(points=weight.coordinate_values(np.arange(1.0, 6.0)).T,
+                             basis_label=weight.basis_label)
     sample = isonormal_sample(skeleton.gram(), 10_000, seed=3)
     G = spike_gram(6)[:5, :5]
     frob = np.linalg.norm(sample.empirical_covariance() - G) / np.linalg.norm(G)

@@ -7,12 +7,13 @@ from silt import (Brick, CovarianceOracle, FiniteCompact,
                   NotPositiveSemidefiniteError, brick_contains,
                   canonical_metric, coordinate_sup_profile, covering_brick,
                   dudley_estimate, isonormal_sample, minkowski_cover,
-                  project_cover, rare_spike_weight, spike_gram)
+                  project_cover, rare_spike_weight, spike_gram, spike_grid)
 
 
 def spike_skeleton(n_levels=6, n_points=5):
     w = rare_spike_weight(n_levels)
-    return w, FiniteCompact(points=w.coord_rows[:n_points], basis_label=w.basis_label)
+    coords = w.coordinate_values(np.arange(1.0, n_points + 1)).T  # f_1..f_n_points
+    return w, FiniteCompact(points=coords, basis_label=w.basis_label)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,7 @@ def test_dudley_validation():
 
 def test_dudley_spike_skeleton_finite_and_monotone_under_truncation():
     w = rare_spike_weight(30)
-    ts = w.default_grid(points_per_segment=3)
+    ts = spike_grid(30, points_per_segment=3)
     coords = w.coordinate_values(ts).T
     full_metric = canonical_metric(coords @ coords.T)
     values = []
@@ -219,7 +220,7 @@ def test_dudley_spike_skeleton_finite_and_monotone_under_truncation():
 def test_weight_coordinates_lie_in_sup_covering_brick():
     # the profile sups define exactly the covering brick of the grid coordinates
     w = rare_spike_weight(15)
-    grid = w.default_grid()
+    grid = spike_grid(15)
     prof = coordinate_sup_profile(w, grid)
     coords = w.coordinate_values(grid).T
     cover = covering_brick(FiniteCompact(points=coords, basis_label=w.basis_label))

@@ -662,6 +662,18 @@ def test_cauchy_rows_structure():
     assert all(r.mean_sq_diff >= 0 for r in rows)
 
 
+def test_cauchy_gap_is_the_hilbert_norm_over_all_coordinates():
+    cfg = EnsembleConfig(n_paths=30, n_steps=64, seed=6)
+    rho = rare_spike_weight(4).compose(RadialParameterMap(t_max=4.0))
+    eps = [0.2, 0.1, 0.05]
+    rows = cauchy_diagnostic(cfg, eps, 2, rho)
+    V = ensemble_renormalized(cfg, eps, 2, rho).renormalized  # (paths, M, scales)
+    for j, row in enumerate(rows):
+        gaps = np.mean((V[:, :, j] - V[:, :, j + 1]) ** 2, axis=0)  # per coordinate
+        assert row.mean_sq_diff == pytest.approx(gaps.sum(), rel=1e-12)
+        assert row.mean_sq_diff > gaps[0]
+
+
 # ---------------------------------------------------------------------------
 # container validation
 # ---------------------------------------------------------------------------

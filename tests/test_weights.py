@@ -1,5 +1,7 @@
 """Tests for scalar, Jacobian-induced, and Hilbert-valued weights."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import exp1
@@ -10,7 +12,7 @@ from silt import (EnsembleConfig, HilbertSltResult, HilbertWeight,
                   SingularityError, coordinate_sup_profile, ensemble_renormalized,
                   estimate_renormalized, jacobian_weight, occupation_density_field,
                   occupation_kernel, rare_spike_weight,
-                  sample_path_points, spike_gram)
+                  sample_path_points, spike_gram, spike_grid)
 from silt.image import affine_map, builtin_maps
 from silt.weights import _exp1
 
@@ -20,6 +22,18 @@ def const_coords_weight(values, first_omitted=0.0):
     return HilbertWeight(evaluator=lambda pts: np.repeat(values[:, None], len(pts), axis=1),
                          sup_norms=np.abs(values), first_omitted_norm_sq=first_omitted,
                          basis_label="test")
+
+
+def spike_table(N):
+    """Dense (N, N) table of the spike chain's closed-form coordinates; row n - 1 is f_n."""
+    n = np.arange(1, N + 1, dtype=float)
+    a = n ** (-5 / 6)
+    c = n ** (-2 / 3) - a * a
+    L = np.zeros((N, N))
+    L[:, 0] = a
+    order = 1 + np.argsort(-c[1:], kind="stable")  # levels 2..N by decreasing pivot
+    L[order, np.arange(1, N)] = np.sqrt(c[order])
+    return L
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +58,26 @@ def test_scalar_weight_is_the_one_coordinate_hilbert_weight():
     assert np.array_equal(shifted.coordinate_values(pts), w.coordinate_values(pts + 1.0))
     with pytest.raises(ValueError, match="weight diff coordinate 0 exceeded its declared sup_norm"):
         w.values(np.array([[3.0, 0.0]]))
+
+
+def test_weights_compare_by_identity():
+    a = rare_spike_weight(3)
+    b = HilbertWeight(evaluator=a.evaluator, sup_norms=a.sup_norms.copy(),
+                      first_omitted_norm_sq=a.first_omitted_norm_sq, basis_label=a.basis_label)
+    assert (a == b) is False and (a == a) is True
+    one = ScalarWeight.constant(1.0)
+    assert (one == ScalarWeight.constant(1.0)) is False and (one == one) is True
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0])
+def test_weights_refuse_a_nan_or_negative_sup(bad):
+    with pytest.raises(ValueError, match=r"sup_norms\[0\] is (nan|-1); a sup must be >= 0"):
+        ScalarWeight(evaluator=lambda u: u[:, 0], sup_norm=bad)
+    with pytest.raises(ValueError, match=r"sup_norms\[1\] is (nan|-1); a sup must be >= 0"):
+        HilbertWeight(evaluator=lambda u: np.zeros((2, len(u))), sup_norms=[1.0, bad],
+                      first_omitted_norm_sq=0.0, basis_label="bad")
+    assert ScalarWeight(evaluator=lambda u: u[:, 0], sup_norm=np.inf).values(
+        np.array([[1e9, 0.0]]))[0] == 1e9
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +109,7 @@ def test_profile_empty_grid_rejected():
 
 def test_profile_partial_sums_nondecreasing():
     w = rare_spike_weight(20)
-    prof = coordinate_sup_profile(w, w.default_grid())
+    prof = coordinate_sup_profile(w, spike_grid(20))
     assert np.all(np.diff(prof.partial_sums) >= 0)
 
 
@@ -98,7 +132,7 @@ def test_spike_gram_positive_definite():
 @pytest.mark.parametrize("N", [2, 3, 30, 400])
 def test_spike_coordinates_reproduce_norms(N):
     # closed-form basis: f_n = a_n e_0 + sqrt(c_n) e_rank(n), pivots largest first
-    L = rare_spike_weight(N).coord_rows
+    L = rare_spike_weight(N).coordinate_values(np.arange(1.0, N + 1)).T
     n = np.arange(1, N + 1, dtype=float)
     norms = (L**2).sum(axis=1)
     np.testing.assert_allclose(norms, n ** (-2 / 3), atol=1e-10)
@@ -113,7 +147,21 @@ def test_spike_coordinates_reproduce_norms(N):
 def test_spike_interpolation_endpoint_values():
     w = rare_spike_weight(8)
     vals = w.coordinate_values(np.arange(1.0, 9.0))
-    np.testing.assert_allclose(vals.T, w.coord_rows, atol=1e-12)
+    assert np.array_equal(vals.T, spike_table(8))
+    assert np.all(np.count_nonzero(w.coordinate_values(spike_grid(8)), axis=0) <= 3)
+    assert np.array_equal(w.sup_norms, np.max(np.abs(spike_table(8)), axis=0))
+
+
+def test_spike_weight_keeps_no_dense_table():
+    # at N = 4000 a dense (N, N) float64 table alone is 128 MB
+    tracemalloc.start()
+    try:
+        w = rare_spike_weight(4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert w.coordinate_values(np.array([1.5, 3999.25])).shape == (4000, 2)
 
 
 def test_spike_lipschitz_bound():
@@ -133,7 +181,7 @@ def test_spike_profile_matches_closed_form():
     # descending sort of {1} with m^(-2/3) - m^(-5/3), m >= 2
     N = 50
     w = rare_spike_weight(N)
-    prof = coordinate_sup_profile(w, w.default_grid())
+    prof = coordinate_sup_profile(w, spike_grid(N))
     m = np.arange(2, N + 1, dtype=float)
     predicted = np.sort(np.r_[1.0, m ** (-2 / 3) - m ** (-5 / 3)])[::-1]
     np.testing.assert_allclose(prof.sup_squares, predicted, atol=1e-10)
@@ -155,7 +203,8 @@ def test_spike_parameter_domain_validation():
 
 def test_spike_coordinates_evaluated_together_match_the_interpolation_formula():
     # coordinate_values evaluates the composed spike coordinates in one pass;
-    # each value is (1 - frac) L[base - 1, m] + frac L[base, m], bit for bit
+    # each value is (1 - frac) L[base - 1, m] + frac L[base, m], bit for bit,
+    # with L the dense closed-form table
     N = 7
     w = rare_spike_weight(N).compose(RadialParameterMap(t_max=float(N)))
     pts = np.random.default_rng(3).normal(scale=3.0, size=(500, 2))
@@ -163,7 +212,7 @@ def test_spike_coordinates_evaluated_together_match_the_interpolation_formula():
     t = RadialParameterMap(t_max=float(N))(pts)
     base = np.clip(np.floor(t).astype(int), 1, N - 1)
     frac = t - base
-    L = rare_spike_weight(N).coord_rows
+    L = spike_table(N)
     for m in range(N):
         assert np.array_equal(vals[m], (1.0 - frac) * L[base - 1, m] + frac * L[base, m])
 
@@ -179,7 +228,7 @@ def test_spike_coordinates_evaluated_together_keep_their_checks():
     with pytest.raises(ValueError,
                        match="weight low-sup coordinate 2 exceeded its declared sup_norm"):
         low.compose(RadialParameterMap(t_max=5.0)).coordinate_values(
-            np.c_[w.default_grid() - 1.0, np.zeros(w.default_grid().size)])
+            np.c_[spike_grid(5) - 1.0, np.zeros(spike_grid(5).size)])
     short = HilbertWeight(evaluator=w.evaluator, sup_norms=w.sup_norms[:4],
                           first_omitted_norm_sq=0.0, basis_label="short")
     with pytest.raises(ValueError, match=r"short evaluated to shape \(5, 3\), expected \(4, 3\)"):
