@@ -27,5 +27,5 @@ from .brick import (Brick, FiniteCompact, IsonormalSample, brick_contains,
 from .image import (DeltaRow, Diffeomorphism, ImageIdentity, affine_map,
                     builtin_maps, bump_function, delta_family_check, image_slt,
                     perturbation_map)
-from .cli import (CSV_COLUMNS, ExperimentConfig, ResultRow, RunResult,
-                  config_to_json, parse_config, run_experiment)
+from .cli import (CSV_COLUMNS, ExperimentConfig, ResultRow, RunResult, parse_config,
+                  run_experiment)

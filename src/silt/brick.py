@@ -2,8 +2,7 @@
 
 A brick is the compact set {x : |(x, e_k)| <= eps_k for all k} for a labeled
 orthonormal basis and a square-summable width sequence.  Only a finite width
-prefix is stored, plus a declared bound on the tail square sum; all operations
-here reduce to prefix arithmetic.
+prefix is stored, and all operations here reduce to prefix arithmetic.
 """
 
 import math
@@ -19,29 +18,22 @@ DUDLEY_LEVELS = 32
 
 @dataclass(frozen=True)
 class Brick:
-    """Finite-prefix brick: nonnegative half-widths in a labeled basis.
-
-    ``tail_sq_bound`` declares a bound on the square sum of the widths beyond
-    the stored prefix (0 means the tail is all zero).
-    """
+    """Finite-prefix brick: nonnegative half-widths in a labeled basis."""
 
     basis_label: str
     eps_seq: np.ndarray
-    tail_sq_bound: float = 0.0
 
     def __post_init__(self):
         eps = np.asarray(self.eps_seq, dtype=float)
         if np.any(eps < 0):
             raise ValueError("brick widths must be nonnegative")
-        if self.tail_sq_bound < 0:
-            raise ValueError("tail_sq_bound must be >= 0")
         object.__setattr__(self, "eps_seq", eps)
         eps.setflags(write=False)
 
     @property
     def sq_sum(self):
-        """Square sum of the stored widths plus the declared tail bound."""
-        return float(np.sum(self.eps_seq**2)) + self.tail_sq_bound
+        """Square sum of the widths."""
+        return float(np.sum(self.eps_seq**2))
 
 
 @dataclass(frozen=True)
@@ -111,8 +103,7 @@ def minkowski_cover(brick: Brick, h) -> Brick:
     _check_basis(h.shape[0], brick, "shift")
     widths = brick.eps_seq.copy()
     widths[: h.shape[0]] += np.abs(h)
-    return Brick(basis_label=brick.basis_label, eps_seq=widths,
-                 tail_sq_bound=brick.tail_sq_bound)
+    return Brick(basis_label=brick.basis_label, eps_seq=widths)
 
 
 def project_cover(brick: Brick, drop_indices) -> Brick:
@@ -122,8 +113,7 @@ def project_cover(brick: Brick, drop_indices) -> Brick:
         raise ValueError("drop index outside the stored width range")
     widths = brick.eps_seq.copy()
     widths[drop] = 0.0
-    return Brick(basis_label=brick.basis_label, eps_seq=widths,
-                 tail_sq_bound=brick.tail_sq_bound)
+    return Brick(basis_label=brick.basis_label, eps_seq=widths)
 
 
 # ---------------------------------------------------------------------------

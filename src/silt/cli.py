@@ -30,7 +30,9 @@ from .brick import (FiniteCompact, brick_contains, canonical_metric,
 from .image import builtin_maps, bump_function, delta_family_check, image_slt
 
 SUBCOMMANDS = ("converge", "hilbert", "brick-check", "image-check", "lemma-delta")
-WEIGHT_KINDS = ("constant", "jacobian", "rare-spike", "occupation")
+#: each weight kind and the ``weight_spec`` fields it reads besides ``kind``
+WEIGHT_KINDS = {"constant": ("value",), "jacobian": ("map",), "rare-spike": ("n_levels",),
+                "occupation": ("mc_samples", "grid")}
 
 _DEFAULT_OCCUPATION_GRID = ((0.5, 0.0), (0.0, 0.7), (-0.6, 0.2), (0.3, -0.5), (-0.2, -0.4))
 _DELTA_POINT = (0.3, -0.1)
@@ -92,6 +94,8 @@ class ExperimentConfig:
             problems.append(f"quad_nodes must be >= 1, got {self.quad_nodes}")
         if not (0 <= ints.get("seed", 0) < 2**64):
             problems.append("seed must be an unsigned 64-bit integer")
+        if not isinstance(self.timings, bool):
+            problems.append(f"timings must be true or false, got {self.timings!r}")
         if self.dtype not in ("float32", "float64"):
             problems.append(f"dtype must be float32 or float64, got {self.dtype!r}")
         if not self.output_path or not isinstance(self.output_path, str):
@@ -111,8 +115,11 @@ class ExperimentConfig:
         spec = self.weight_spec
         problems = []
         kind = spec.get("kind")
-        if kind not in WEIGHT_KINDS:
+        if not isinstance(kind, str) or kind not in WEIGHT_KINDS:
             return [f"unknown weight kind {kind!r}"]
+        unknown = sorted(set(spec) - {"kind", *WEIGHT_KINDS[kind]}, key=str)
+        if unknown:
+            problems.append(f"unknown weight_spec fields for {kind}: {unknown}")
         value = _spec_number(spec, "value", float)
         if kind == "constant" and (value is None or not np.isfinite(value)):
             problems.append(f"constant weight needs a numeric 'value' that is finite, "
@@ -203,10 +210,6 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(**raw).validate()
 
 
-def config_to_json(cfg: ExperimentConfig) -> str:
-    return json.dumps(asdict(cfg), sort_keys=True, indent=2)
-
-
 @dataclass
 class ResultRow:
     """One CSV row; oracle fields stay empty exactly when no closed form applies."""
@@ -275,37 +278,24 @@ def _scalar_weight(cfg):
     return jacobian_weight(builtin_maps()[spec["map"]], cfg.k)
 
 
-def _constant_weight_value(cfg):
-    """The constant c when the configured weight is constant, else None."""
-    spec = cfg.weight_spec
-    if spec["kind"] == "constant":
-        return float(spec["value"])
-    if spec["kind"] == "jacobian":
-        F = builtin_maps()[spec["map"]]
-        det = np.abs(F.jac_det(np.array([[0.0, 0.0], [0.7, -0.3]])))
-        if np.ptp(det) == 0.0:  # affine maps: constant Jacobian
-            return float(det[0]) ** (-(cfg.k - 1))
-    return None
-
-
-def _renorm_oracle(cfg, epsilon):
-    c = _constant_weight_value(cfg)
-    if c is None:
+def _renorm_oracle(k, probe, epsilon):
+    """Closed-form mean of the renormalized functional of a constant weight c:
+    c at k = 1 and c * renorm_double_mean(eps) at k = 2.  ``probe`` holds the
+    weight's values at two points; unequal values (or k > 2) give None."""
+    if np.ptp(probe) != 0.0 or k > 2:
         return None
-    if cfg.k == 1:
-        return c
-    if cfg.k == 2:
-        return c * renorm_double_mean(epsilon)
-    return None
+    c = float(probe[0])
+    return c if k == 1 else c * renorm_double_mean(epsilon)
 
 
 def _run_converge(cfg):
     rho = _scalar_weight(cfg)
+    probe = rho.values([[0.0, 0.0], [0.7, -0.3]])  # equal for constants and affine Jacobians
     result = ensemble_renormalized(cfg.ensemble(), cfg.eps_list, cfg.k, rho)
     rows, level_stats = [], {}
     for e, eps in enumerate(cfg.eps_list):
         stats = result.stats(eps_index=e)
-        rows.append(_stats_row(cfg, stats, eps, oracle=_renorm_oracle(cfg, eps)))
+        rows.append(_stats_row(cfg, stats, eps, oracle=_renorm_oracle(cfg.k, probe, eps)))
         level_stats[eps] = [result.level_stats(l, eps_index=e) for l in range(1, cfg.k + 1)]
     return rows, {"level_stats": level_stats, "ensemble": result}
 
@@ -316,12 +306,12 @@ def _run_hilbert(cfg):
     ensemble = ensemble_renormalized(cfg.ensemble(), cfg.eps_list, cfg.k, weight)
     rows, summaries = [], {}
     for e, eps in enumerate(cfg.eps_list):
-        res = HilbertSltResult.from_ensemble(ensemble, e, weight.first_omitted_norm_sq)
+        res = HilbertSltResult.from_ensemble(ensemble, e)
         for stats in res.coord_stats:
             rows.append(_stats_row(cfg, stats, eps))
         rows.append(_row(cfg, epsilon=eps, mean=float(res.norm_sq_partial[-1])))
         summaries[eps] = res
-    return rows, {"results": summaries, "first_omitted_norm_sq": weight.first_omitted_norm_sq}
+    return rows, {"results": summaries}
 
 
 def _run_brick_check(cfg):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .path_sim import PlanarPath
-from .slt_core import _as_weight_rows, simplex_levels
+from .slt_core import _as_weight_rows, _scales, simplex_levels
 from .weights import jacobian_weight
 
 
@@ -212,9 +212,7 @@ def delta_family_check(phi, v_k, F: Diffeomorphism, epsilon_levels, k=2, n_nodes
     """
     if k not in (2, 3):
         raise ValueError("delta-family check supports k = 2 or 3 only")
-    eps_levels = np.asarray(epsilon_levels, dtype=float)
-    if np.any(eps_levels <= 0):
-        raise ValueError("all epsilon levels must be > 0")
+    eps_levels = _scales(epsilon_levels)
     nodes, wts = np.polynomial.hermite.hermgauss(int(n_nodes))
     x_max = float(np.max(np.abs(nodes)))
     mass_out = math.exp(-x_max * x_max)  # exact planar Gaussian tail at the node radius

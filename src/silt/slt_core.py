@@ -78,6 +78,15 @@ def renorm_double_mean(epsilon):
     return double_mean(epsilon) + np.log(epsilon) / TWO_PI
 
 
+def _scales(eps_list):
+    """``eps_list`` as a 1-D float array; ValueError unless nonempty, finite and > 0."""
+    eps = np.asarray(eps_list, dtype=float)
+    if eps.ndim != 1 or eps.size == 0 or not np.all((eps > 0) & np.isfinite(eps)):
+        raise ValueError(f"epsilon values must be a nonempty list, all finite and > 0, "
+                         f"got {eps_list!r}")
+    return eps
+
+
 @dataclass(frozen=True)
 class SimplexEstimate:
     """Value of one grid simplex functional."""
@@ -280,11 +289,9 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
     B, n = points.shape[0], points.shape[1] - 1
     if n < 1:
         raise ValueError(f"a path needs at least 2 nodes, got points of shape {points.shape}")
-    eps = np.asarray(eps_list, dtype=float)
+    eps = _scales(eps_list)
     if np.dtype(dtype) not in (np.float32, np.float64):
         raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
-    if not np.all((eps > 0) & np.isfinite(eps)):
-        raise ValueError(f"all epsilon values must be finite and > 0, got {eps}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     rho_rows = np.asarray(rho_rows, dtype=float)
@@ -495,11 +502,7 @@ def ensemble_renormalized(cfg: EnsembleConfig, eps_list, k, rho) -> EnsembleResu
     ones have finished.  Raises ValueError naming the first path whose level
     sums are not finite.
     """
-    eps = np.asarray(eps_list, dtype=float)
-    if eps.ndim == 0:
-        eps = eps[None]
-    if not np.all((eps > 0) & np.isfinite(eps)):
-        raise ValueError(f"all epsilon values must be finite and > 0, got {eps}")
+    eps = _scales(eps_list)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     check_resolution(cfg.n_steps, eps)

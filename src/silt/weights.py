@@ -1,11 +1,8 @@
 """Weight functions: one Hilbert-valued weight type, with scalar weights its M = 1 case.
 
 A weight is one evaluator of its M coordinates u -> (rho(u), e_m) in a
-labeled orthonormal basis, a declared sup bound per coordinate, and a declared
-number about the omitted coordinates, ``first_omitted_norm_sq`` (for the
-rare-spike weight, the squared norm of the first omitted level; it is no bound
-on the square sum of the omitted coordinate sups, which diverges there).  A
-scalar weight is the case M = 1.  The square-summability profile of the
+labeled orthonormal basis and a declared sup bound per coordinate.  A scalar
+weight is the case M = 1.  The square-summability profile of the
 coordinate sups decides whether the weight's range fits in a covering brick
 (see the brick module).
 
@@ -64,18 +61,10 @@ class HilbertWeight:
     coordinate values; ``sup_norms`` holds the M declared bounds on their
     absolute values (``inf`` declares none; NaN or a negative bound is
     refused), checked on every evaluation.  Weights compare by identity.
-
-    ``first_omitted_norm_sq`` is a declared nonnegative number about the
-    omitted coordinates, reported alongside truncation diagnostics and never
-    certified numerically.  For ``rare_spike_weight`` it is the squared norm
-    of the first omitted level, (M + 1)^(-2/3).  It does not control the
-    square sum of the omitted coordinate sups, which diverges in that basis
-    (sum over m > M of m^(-2/3)(1 - 1/m) is infinite).
     """
 
     evaluator: object
     sup_norms: np.ndarray
-    first_omitted_norm_sq: float
     basis_label: str
 
     def __post_init__(self):
@@ -86,8 +75,6 @@ class HilbertWeight:
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"sup_norms[{i}] is {sups[i]:g}; a sup must be >= 0 (inf: no bound)")
-        if self.first_omitted_norm_sq < 0:
-            raise ValueError("first_omitted_norm_sq must be >= 0")
         sups.setflags(write=False)
         object.__setattr__(self, "sup_norms", sups)
 
@@ -108,9 +95,7 @@ class HilbertWeight:
         """Weight with its coordinates precomposed with ``param_map`` (new domain)."""
         inner = self.evaluator
         return HilbertWeight(evaluator=lambda pts: inner(param_map(pts)),
-                             sup_norms=self.sup_norms,
-                             first_omitted_norm_sq=self.first_omitted_norm_sq,
-                             basis_label=self.basis_label)
+                             sup_norms=self.sup_norms, basis_label=self.basis_label)
 
 
 class ScalarWeight(HilbertWeight):
@@ -123,7 +108,7 @@ class ScalarWeight(HilbertWeight):
     def __init__(self, evaluator, sup_norm=None, name=""):
         super().__init__(evaluator=lambda pts: np.asarray(evaluator(pts))[None],
                          sup_norms=math.inf if sup_norm is None else sup_norm,
-                         first_omitted_norm_sq=0.0, basis_label=name)
+                         basis_label=name)
 
     def values(self, pts):
         """Values on a point set, shape (len(pts),)."""
@@ -174,24 +159,21 @@ class SupProfile:
 
     sup_squares: np.ndarray
     partial_sums: np.ndarray
-    first_omitted_norm_sq: float
 
 
 def coordinate_sup_profile(weight: HilbertWeight, grid) -> SupProfile:
     """Square-summability profile of a Hilbert weight on a finite grid.
 
-    Returns the squared coordinate sups over the grid, their (nondecreasing)
-    partial sums, and the weight's declared ``first_omitted_norm_sq``.  The
-    grid stands in for the full domain, so the sups are lower bounds on the
-    sups over it.
+    Returns the squared coordinate sups over the grid and their
+    (nondecreasing) partial sums.  The grid stands in for the full domain, so
+    the sups are lower bounds on the sups over it.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
     vals = weight.coordinate_values(grid)
     sup_sq = np.max(vals * vals, axis=1)
-    return SupProfile(sup_squares=sup_sq, partial_sums=np.cumsum(sup_sq),
-                      first_omitted_norm_sq=float(weight.first_omitted_norm_sq))
+    return SupProfile(sup_squares=sup_sq, partial_sums=np.cumsum(sup_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -204,26 +186,22 @@ class HilbertSltResult:
 
     ``norm_sq_partial[j]`` is the sample mean of sum_{m<=j+1} V_m^2 over the
     shared path ensemble (V_m the renormalized functional of coordinate m);
-    it is nondecreasing in j by construction.  ``first_omitted_norm_sq`` is
-    the weight's declared number, reported as a qualitative truncation
-    indicator.
+    it is nondecreasing in j by construction.
     """
 
     epsilon: float
     k: int
     coord_stats: tuple
     norm_sq_partial: np.ndarray
-    first_omitted_norm_sq: float
 
     @classmethod
-    def from_ensemble(cls, result, eps_index, first_omitted_norm_sq):
+    def from_ensemble(cls, result, eps_index):
         """The result at scale ``result.eps_list[eps_index]`` of a coupled ensemble."""
         per_path = result.renormalized[:, :, eps_index]  # (n_paths, M)
         stats = tuple(MCStats.from_samples(per_path[:, m]) for m in range(per_path.shape[1]))
         partial = np.mean(np.cumsum(per_path * per_path, axis=1), axis=0)
         return cls(epsilon=float(result.eps_list[eps_index]), k=int(result.k),
-                   coord_stats=stats, norm_sq_partial=partial,
-                   first_omitted_norm_sq=float(first_omitted_norm_sq))
+                   coord_stats=stats, norm_sq_partial=partial)
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +211,12 @@ class HilbertSltResult:
 def jacobian_weight(diffeo, k) -> ScalarWeight:
     """Weight u -> 1/|det F'(u)|^(k-1) induced by a diffeomorphism F.
 
-    Requires k >= 2 (k = 1 would be the trivial unit weight).  Evaluating at a
-    point with vanishing determinant raises SingularityError naming the point.
+    Requires k >= 2 (k = 1 would be the trivial unit weight).  The declared
+    sup is det_lower_bound^(1-k).  Evaluating at a point with vanishing
+    determinant raises SingularityError naming the point.
     """
     if k < 2:
         raise ValueError(f"jacobian weight needs k >= 2, got {k}")
-    sup = None
-    if getattr(diffeo, "det_lower_bound", 0) > 0:
-        sup = float(diffeo.det_lower_bound) ** (-(k - 1))
 
     def evaluator(pts):
         pts = np.asarray(pts, dtype=float)
@@ -250,8 +226,8 @@ def jacobian_weight(diffeo, k) -> ScalarWeight:
             raise SingularityError(pts[np.argmax(bad)])
         return det ** (-(k - 1))
 
-    return ScalarWeight(evaluator=evaluator, sup_norm=sup,
-                        name=f"jacobian({getattr(diffeo, 'name', 'F')}, k={k})")
+    return ScalarWeight(evaluator=evaluator, sup_norm=float(diffeo.det_lower_bound) ** (1 - k),
+                        name=f"jacobian({diffeo.name}, k={k})")
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +268,6 @@ def rare_spike_weight(n_levels) -> HilbertWeight:
     c_n in decreasing c_2, ..., c_N (from 1).  A point of [n, n+1] thus has at
     most three nonzero coordinates, and the evaluator fills just those from
     the three length-N vectors a, sqrt(c) and the basis index.
-    ``first_omitted_norm_sq`` is the squared norm of the first omitted level,
-    (n_levels + 1)^(-2/3).
     """
     if n_levels < 2:
         raise ValueError(f"n_levels must be >= 2, got {n_levels}")
@@ -321,9 +295,7 @@ def rare_spike_weight(n_levels) -> HilbertWeight:
     sups = np.empty(n_levels)
     sups[col] = s
     sups[0] = a[0]
-    return HilbertWeight(evaluator=evaluator, sup_norms=sups,
-                         first_omitted_norm_sq=float((n_levels + 1) ** (-2.0 / 3.0)),
-                         basis_label=f"spike-gs-{n_levels}")
+    return HilbertWeight(evaluator=evaluator, sup_norms=sups, basis_label=f"spike-gs-{n_levels}")
 
 
 # ---------------------------------------------------------------------------

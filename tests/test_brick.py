@@ -228,11 +228,8 @@ def test_weight_coordinates_lie_in_sup_covering_brick():
     assert all(brick_contains(x, cover) for x in coords)
 
 
-def test_brick_tail_bound_validation_and_sq_sum():
-    with pytest.raises(ValueError):
-        Brick(basis_label="e", eps_seq=np.array([1.0]), tail_sq_bound=-0.5)
-    b = Brick(basis_label="e", eps_seq=np.array([3.0, 4.0]), tail_sq_bound=2.0)
-    assert b.sq_sum == pytest.approx(27.0)
+def test_brick_sq_sum_is_the_square_sum_of_the_widths():
+    assert Brick(basis_label="e", eps_seq=np.array([3.0, 4.0])).sq_sum == 25.0
 
 
 def test_isonormal_sample_shape_validation():

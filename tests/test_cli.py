@@ -12,8 +12,7 @@ import pytest
 
 from silt import (ConfigError, EnsembleConfig, ExperimentConfig, ResultRow, parse_config,
                   run_experiment)
-from silt.cli import (CSV_COLUMNS, build_parser, config_to_json, _flags_config, main,
-                      _parse_weight_flag)
+from silt.cli import CSV_COLUMNS, build_parser, _flags_config, main, _parse_weight_flag
 
 
 def small_converge(tmp_path, name="run", **over):
@@ -68,12 +67,14 @@ def test_parse_rejects_unknown_fields_and_bad_json():
         parse_config("{}")
 
 
-def test_config_round_trip():
+def test_config_round_trip(tmp_path):
+    # the config block of a run's sidecar parses back to the config that made the run
     cfg = ExperimentConfig(subcommand="brick-check", k=2, eps_list=(0.3, 0.1),
                            n_paths=100, n_steps=64, seed=5,
-                           weight_spec={"kind": "rare-spike", "n_levels": 10})
-    again = parse_config(config_to_json(cfg))
-    assert again == cfg
+                           weight_spec={"kind": "rare-spike", "n_levels": 10},
+                           output_path=str(tmp_path / "round"))
+    sidecar = json.load(open(run_experiment(cfg).sidecar_path))
+    assert parse_config(json.dumps(sidecar["config"])) == cfg
 
 
 def test_weight_subcommand_compatibility():
@@ -516,11 +517,22 @@ def test_hilbert_multiple_eps_levels(tmp_path):
       "weight_spec": {"kind": "occupation", "mc_samples": 150,
                       "grid": [["0.5", "0.1"], ["0", "0.7"]]}},
      "occupation grid must be a list of finite planar points"),
+    # a text or integer timings, which would still fill in wall times
+    ({"timings": "false"}, "timings must be true or false, got 'false'"),
+    ({"timings": 1}, "timings must be true or false, got 1"),
+    # weight fields the kind does not read
+    ({"subcommand": "brick-check",
+      "weight_spec": {"kind": "occupation", "mc_samples": 500, "gird": [[0.5, 0.0]]}},
+     "unknown weight_spec fields for occupation: ['gird']"),
+    ({"weight_spec": {"kind": "constant", "value": 2.0, "map": "shear", "typo": 1}},
+     "unknown weight_spec fields for constant: ['map', 'typo']"),
+    ({"weight_spec": {"kind": ["constant"], "value": 1.0}}, "unknown weight kind ['constant']"),
 ], ids=["seed", "k", "n_paths", "workers-float", "eps_list", "k-with-jacobian",
         "image-check-k1", "map-list", "quad-nodes", "lemma-delta-k1", "lemma-delta-k4",
         "grid-origin", "grid-text", "eps_list-bool", "constant-value-bool", "grid-bool",
         "n_levels-float", "mc_samples-float", "k-inf", "constant-value-nan",
-        "eps_list-text", "constant-value-text", "grid-text-numbers"])
+        "eps_list-text", "constant-value-text", "grid-text-numbers", "timings-text",
+        "timings-int", "occupation-field-typo", "constant-extra-fields", "kind-list"])
 def test_main_reports_malformed_config_fields(fields, message, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"subcommand": "converge",

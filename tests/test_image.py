@@ -267,5 +267,6 @@ def test_image_slt_rejects_k1():
 
 
 def test_delta_check_epsilon_validation():
-    with pytest.raises(ValueError):
-        delta_family_check(constant_phi(1.0), V, MAPS["identity"], [0.1, 0.0])
+    for eps_levels in ([0.1, 0.0], [np.nan], [np.inf], []):
+        with pytest.raises(ValueError, match="epsilon values must be a nonempty list"):
+            delta_family_check(constant_phi(1.0), V, MAPS["identity"], eps_levels)

@@ -1,9 +1,10 @@
 """The silt names the benchmark harness in ``perfbench/`` builds and traces through.
 
 The harness sets up every workload with ``workloads.build_op`` and
-``workloads.build_weights`` and installs ``spans.Tracer``, which rebinds
-public silt functions and methods by name.  These tests fail when one of
-those names goes.
+``workloads.build_weights``, installs ``spans.Tracer``, which rebinds public
+silt functions and methods by name, and judges each run with
+``workloads.check_result``.  These tests fail when one of those names goes or
+a workload's output fails its check.
 """
 
 import importlib.util
@@ -38,6 +39,13 @@ def test_every_workload_builds_its_op_and_weights(workload, tmp_path):
             assert weight.coordinate_values(pts).shape == (weight.n_coords, 2)
         else:
             assert weight.oracle.gram(weight.grid).shape == (1, 1)
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_every_workload_passes_the_benchmark_output_checks(workload, tmp_path):
+    # the checks behind the benchmark's outputs_incorrect, on the extras run_experiment returns
+    for label, cfg in workloads.build_op(workload, 1, 2, str(tmp_path)):
+        assert workloads.check_result(label, silt.run_experiment(cfg)) == []
 
 
 def test_span_tracer_installs_and_uninstalls():

@@ -722,3 +722,12 @@ def test_non_finite_eps_rejected_by_every_route(bad):
     cfg = EnsembleConfig(n_paths=2, n_steps=8, seed=1, workers=1)
     with pytest.raises(ValueError, match="finite and > 0"):
         ensemble_renormalized(cfg, [0.1, bad], 2, UNIT)
+
+
+def test_empty_eps_list_rejected():
+    pts = sample_path_points(8, 1, [0])
+    with pytest.raises(ValueError, match="epsilon values must be a nonempty list"):
+        simplex_levels(pts, np.ones((1, 1, 8)), [], 2)
+    cfg = EnsembleConfig(n_paths=2, n_steps=8, seed=1, workers=1)
+    with pytest.raises(ValueError, match="epsilon values must be a nonempty list"):
+        ensemble_renormalized(cfg, [], 2, UNIT)

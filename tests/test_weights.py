@@ -17,11 +17,10 @@ from silt.image import affine_map, builtin_maps
 from silt.weights import _exp1
 
 
-def const_coords_weight(values, first_omitted=0.0):
+def const_coords_weight(values):
     values = np.asarray(values, dtype=float)
     return HilbertWeight(evaluator=lambda pts: np.repeat(values[:, None], len(pts), axis=1),
-                         sup_norms=np.abs(values), first_omitted_norm_sq=first_omitted,
-                         basis_label="test")
+                         sup_norms=np.abs(values), basis_label="test")
 
 
 def spike_table(N):
@@ -63,7 +62,7 @@ def test_scalar_weight_is_the_one_coordinate_hilbert_weight():
 def test_weights_compare_by_identity():
     a = rare_spike_weight(3)
     b = HilbertWeight(evaluator=a.evaluator, sup_norms=a.sup_norms.copy(),
-                      first_omitted_norm_sq=a.first_omitted_norm_sq, basis_label=a.basis_label)
+                      basis_label=a.basis_label)
     assert (a == b) is False and (a == a) is True
     one = ScalarWeight.constant(1.0)
     assert (one == ScalarWeight.constant(1.0)) is False and (one == one) is True
@@ -75,7 +74,7 @@ def test_weights_refuse_a_nan_or_negative_sup(bad):
         ScalarWeight(evaluator=lambda u: u[:, 0], sup_norm=bad)
     with pytest.raises(ValueError, match=r"sup_norms\[1\] is (nan|-1); a sup must be >= 0"):
         HilbertWeight(evaluator=lambda u: np.zeros((2, len(u))), sup_norms=[1.0, bad],
-                      first_omitted_norm_sq=0.0, basis_label="bad")
+                      basis_label="bad")
     assert ScalarWeight(evaluator=lambda u: u[:, 0], sup_norm=np.inf).values(
         np.array([[1e9, 0.0]]))[0] == 1e9
 
@@ -85,17 +84,16 @@ def test_weights_refuse_a_nan_or_negative_sup(bad):
 # ---------------------------------------------------------------------------
 
 def test_profile_constant_coordinates():
-    w = const_coords_weight([3.0, -2.0, 0.5], first_omitted=0.1)
+    w = const_coords_weight([3.0, -2.0, 0.5])
     grid = np.zeros((4, 2))
     prof = coordinate_sup_profile(w, grid)
     np.testing.assert_allclose(prof.sup_squares, [9.0, 4.0, 0.25])
     np.testing.assert_allclose(prof.partial_sums, [9.0, 13.0, 13.25])
-    assert prof.first_omitted_norm_sq == 0.1
 
 
 def test_profile_gaussian_coordinate_sup_at_origin():
     w = HilbertWeight(evaluator=lambda u: np.exp(-np.sum(u * u, axis=-1))[None, :],
-                      sup_norms=[np.inf], first_omitted_norm_sq=0.0, basis_label="g")
+                      sup_norms=[np.inf], basis_label="g")
     grid = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, -0.5]])
     prof = coordinate_sup_profile(w, grid)
     assert prof.sup_squares[0] == 1.0
@@ -188,11 +186,6 @@ def test_spike_profile_matches_closed_form():
     assert np.all(np.diff(prof.sup_squares) <= 1e-15)
 
 
-def test_spike_first_omitted_norm_sq_declared_decay():
-    w = rare_spike_weight(12)
-    assert w.first_omitted_norm_sq == pytest.approx(13 ** (-2 / 3), rel=1e-14)
-
-
 def test_spike_parameter_domain_validation():
     w = rare_spike_weight(5)
     with pytest.raises(ValueError):
@@ -223,14 +216,12 @@ def test_spike_coordinates_evaluated_together_keep_their_checks():
         w.compose(RadialParameterMap(t_max=9.0)).coordinate_values(np.array([[6.0, 0.0]]))
     sups = w.sup_norms.copy()
     sups[2] *= 0.5
-    low = HilbertWeight(evaluator=w.evaluator, sup_norms=sups, first_omitted_norm_sq=0.0,
-                        basis_label="low-sup")
+    low = HilbertWeight(evaluator=w.evaluator, sup_norms=sups, basis_label="low-sup")
     with pytest.raises(ValueError,
                        match="weight low-sup coordinate 2 exceeded its declared sup_norm"):
         low.compose(RadialParameterMap(t_max=5.0)).coordinate_values(
             np.c_[spike_grid(5) - 1.0, np.zeros(spike_grid(5).size)])
-    short = HilbertWeight(evaluator=w.evaluator, sup_norms=w.sup_norms[:4],
-                          first_omitted_norm_sq=0.0, basis_label="short")
+    short = HilbertWeight(evaluator=w.evaluator, sup_norms=w.sup_norms[:4], basis_label="short")
     with pytest.raises(ValueError, match=r"short evaluated to shape \(5, 3\), expected \(4, 3\)"):
         short.coordinate_values(np.array([1.0, 2.0, 3.0]))
 
@@ -248,7 +239,7 @@ def test_radial_parameter_map():
 def test_hilbert_unit_first_coordinate_reduces_to_scalar():
     cfg = EnsembleConfig(n_paths=40, n_steps=64, seed=21)
     w = const_coords_weight([1.0, 0.0, 0.0])
-    res = HilbertSltResult.from_ensemble(ensemble_renormalized(cfg, [0.2], 2, w), 0, 0.0)
+    res = HilbertSltResult.from_ensemble(ensemble_renormalized(cfg, [0.2], 2, w), 0)
     unit = ScalarWeight.constant(1.0)
     assert np.array_equal(unit.values(np.zeros((3, 2))), np.ones(3))
     scalar = estimate_renormalized(40, 64, 0.2, 2, unit, seed=21)
@@ -262,7 +253,7 @@ def test_hilbert_constant_coordinates_scale_exactly():
     # dyadic constants scale every floating-point operation exactly
     cfg = EnsembleConfig(n_paths=30, n_steps=64, seed=22)
     w = const_coords_weight([1.0, 0.5, 0.25])
-    res = HilbertSltResult.from_ensemble(ensemble_renormalized(cfg, [0.2], 2, w), 0, 0.0)
+    res = HilbertSltResult.from_ensemble(ensemble_renormalized(cfg, [0.2], 2, w), 0)
     assert res.coord_stats[1].mean == 0.5 * res.coord_stats[0].mean
     assert res.coord_stats[2].mean == 0.25 * res.coord_stats[0].mean
 
@@ -270,7 +261,7 @@ def test_hilbert_constant_coordinates_scale_exactly():
 def test_hilbert_zero_weight_all_zero():
     cfg = EnsembleConfig(n_paths=20, n_steps=64, seed=23)
     w = const_coords_weight([0.0, 0.0])
-    res = HilbertSltResult.from_ensemble(ensemble_renormalized(cfg, [0.2], 2, w), 0, 0.0)
+    res = HilbertSltResult.from_ensemble(ensemble_renormalized(cfg, [0.2], 2, w), 0)
     assert all(s.mean == 0.0 and s.variance == 0.0 for s in res.coord_stats)
     assert np.all(res.norm_sq_partial == 0.0)
 
@@ -281,8 +272,7 @@ def test_hilbert_norm_partial_sums_nondecreasing_and_plateau():
     cfg = EnsembleConfig(n_paths=60, n_steps=128, seed=24)
     n_levels = 12
     w = rare_spike_weight(n_levels).compose(RadialParameterMap(t_max=float(n_levels)))
-    res = HilbertSltResult.from_ensemble(ensemble_renormalized(cfg, [0.1], 2, w), 0,
-                                         w.first_omitted_norm_sq)
+    res = HilbertSltResult.from_ensemble(ensemble_renormalized(cfg, [0.1], 2, w), 0)
     inc = np.diff(res.norm_sq_partial)
     assert np.all(inc >= 0)
     assert res.norm_sq_partial[-1] > 0
