@@ -13,8 +13,18 @@
  * strip sum is added to the float64 X.  The STRIP x STRIP head square of a
  * strip goes first, level by level, since level l+1 reads level l at the
  * strip's own rows; the columns beyond it take every level in one pass.
- * No scale's arithmetic depends on another's, so each scale's levels are bit
- * for bit those of a sweep at that scale alone.
+ *
+ * Column blocks of STRIP nodes, aligned like the strips, are skipped scale by
+ * scale: at scale eps a block is skipped for a strip when the exponent
+ * formed, as above, from the squared distance between the two blocks'
+ * bounding boxes falls below the floor.  That distance bounds every pair's
+ * from below, so a skipped block drops only floor values exp(floor) (3.2e-38
+ * in float32, 6.0e-308 in float64), which lie below the sums' rounding.  A
+ * box that holds a NaN or infinite coordinate is never skipped, so a NaN
+ * reaches every level it touches.  Distances are formed once per row over
+ * the blocks live at any scale, and a tile dead at every scale is passed
+ * over.  No scale's arithmetic or skipping depends on another's, so each
+ * scale's levels are bit for bit those of a sweep at that scale alone.
  *
  * This file is its own template: the part below #else is compiled once for
  * float and once for double.  Build flags must keep IEEE semantics (no
@@ -26,6 +36,7 @@
 #include <float.h>
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 #include <stdlib.h>
 
 #pragma omp declare simd notinbranch
@@ -37,8 +48,52 @@ double exp(double);
 #error "STRIP is undefined; build with -DSTRIP=<slt_core.STRIP_ROWS>"
 #endif
 #define TILE 512
+#if TILE % STRIP || TILE / STRIP > 32 /* a tile's live blocks are the bits of an unsigned */
+#error "TILE must hold at most 32 blocks of STRIP columns"
+#endif
 #define CAT_(a, b) a##_##b
 #define CAT(a, b) CAT_(a, b)
+
+/* Bounds of each block of STRIP nodes: box[b], box[nb + b], box[2 nb + b] and
+ * box[3 nb + b] are block b's lowest x, highest x, lowest y and highest y.  A
+ * NaN or infinite coordinate makes all four NaN, through x - x. */
+static void bounding_boxes(const double *xs, const double *ys, ptrdiff_t n, double *box)
+{
+    const ptrdiff_t nb = (n + STRIP - 1) / STRIP;
+    for (ptrdiff_t b = 0; b < nb; b++) {
+        double xlo = INFINITY, xhi = -INFINITY, ylo = INFINITY, yhi = -INFINITY, bad = 0;
+        ptrdiff_t end = (b + 1) * STRIP < n ? (b + 1) * STRIP : n;
+#pragma omp simd reduction(min : xlo, ylo) reduction(max : xhi, yhi) reduction(+ : bad)
+        for (ptrdiff_t j = b * STRIP; j < end; j++) {
+            xlo = xs[j] < xlo ? xs[j] : xlo;
+            xhi = xs[j] > xhi ? xs[j] : xhi;
+            ylo = ys[j] < ylo ? ys[j] : ylo;
+            yhi = ys[j] > yhi ? ys[j] : yhi;
+            bad += (xs[j] - xs[j]) + (ys[j] - ys[j]);
+        }
+        box[b] = xlo + bad;
+        box[nb + b] = xhi + bad;
+        box[2 * nb + b] = ylo + bad;
+        box[3 * nb + b] = yhi + bad;
+    }
+}
+
+/* v, or 0 where v < 0; NaN stays NaN */
+static double positive_part(double v) { return v < 0 ? 0 : v; }
+
+/* Squared distances from the box of block s to those of blocks b0..b0+len, of
+ * nb boxes: lower bounds of those of any pair of their nodes, and NaN when a
+ * bound is NaN. */
+static void box_distances(const double *box, ptrdiff_t nb, ptrdiff_t s, ptrdiff_t b0,
+                          ptrdiff_t len, double *restrict d2)
+{
+    const double *xlo = box, *xhi = box + nb, *ylo = box + 2 * nb, *yhi = box + 3 * nb;
+    for (ptrdiff_t b = b0; b < b0 + len; b++) {
+        double gx = positive_part(xlo[b] - xhi[s]) + positive_part(xlo[s] - xhi[b]);
+        double gy = positive_part(ylo[b] - yhi[s]) + positive_part(ylo[s] - yhi[b]);
+        d2[b - b0] = gx * gx + gy * gy;
+    }
+}
 
 #define REAL float
 #define EXP expf
@@ -109,20 +164,38 @@ static void FN(head_square)(const double *xs, const double *ys, ptrdiff_t n, ptr
     }
 }
 
+/* Row i's share of a tile's level sums at scale c over the columns [j0, j1):
+ * d2 holds the row's squared distances to the tile's columns, x its levels
+ * 1..k-1 at stride STRIP, acc the tile's sums at stride TILE. */
+static inline void FN(row_span)(const double *d2, double c, REAL floor_, ptrdiff_t j0,
+                                ptrdiff_t j1, ptrdiff_t L, const REAL *x, REAL *acc, REAL *kv)
+{
+    FN(kernel_row)(d2 + j0, c, floor_, j1 - j0, kv + j0);
+    for (ptrdiff_t l = 0; l < L; l++) {
+        REAL xl = x[l * STRIP];
+        REAL *restrict a = acc + l * TILE;
+        for (ptrdiff_t j = j0; j < j1; j++)
+            a[j] += xl * kv[j];
+    }
+}
+
 /* Levels 2..k of one path, unscaled, into out[m, e, 1..k-1] of an (M, E, k)
- * array.  points: (n+1, 2) path nodes; rho: (M, n) weights at nodes 0..n-1;
- * cneg: (E) values -1/(2 eps).  Returns 0, or -1 when scratch memory is short. */
+ * array, and the kernel values evaluated at each scale added to count[e].
+ * points: (n+1, 2) path nodes; rho: (M, n) weights at nodes 0..n-1; cneg: (E)
+ * values -1/(2 eps).  Returns 0, or -1 when scratch memory is short. */
 int CAT(sweep, REAL)(ptrdiff_t n, ptrdiff_t M, ptrdiff_t E, ptrdiff_t k, const double *points,
-                     const double *rho, const double *cneg, double *out)
+                     const double *rho, const double *cneg, double *out, int64_t *count)
 {
     const REAL floor_ = (REAL)(log(TINY) + 1.0); /* subnormal exp results are slow */
-    const ptrdiff_t L = k - 1;
-    double *xs = calloc(2 * n + E * L * n + 1, sizeof(double)), *ys = xs + n;
+    const ptrdiff_t L = k - 1, nb = (n + STRIP - 1) / STRIP;
+    double *xs = calloc(2 * n + E * L * n + 4 * nb + 1, sizeof(double)), *ys = xs + n;
     double *X = ys + n;                                        /* [e][l][n] */
-    REAL *acc = malloc(sizeof(REAL) * E * L * (TILE + STRIP) + 1); /* [e][l][TILE] */
-    REAL *xr = acc + E * L * TILE;                                 /* [e][l][STRIP] */
+    double *box = X + E * L * n;                               /* [4][nb] */
+    REAL *acc = malloc(sizeof(REAL) * E * L * (TILE + STRIP) + sizeof(unsigned) * E);
+    REAL *xr = acc + E * L * TILE;                /* acc: [e][l][TILE], xr: [e][l][STRIP] */
+    unsigned *live = (unsigned *)(xr + E * L * STRIP); /* [e]: a tile's live blocks as bits */
     REAL kv[TILE];
-    double d2[TILE];
+    double d2[TILE], gap2[TILE / STRIP];
     if (xs == NULL || acc == NULL) {
         free(xs);
         free(acc);
@@ -133,29 +206,58 @@ int CAT(sweep, REAL)(ptrdiff_t n, ptrdiff_t M, ptrdiff_t E, ptrdiff_t k, const d
         xs[j] = points[2 * (n - 1 - j)];
         ys[j] = points[2 * (n - 1 - j) + 1];
     }
+    bounding_boxes(xs, ys, n, box);
     for (ptrdiff_t i0 = 0; i0 < n; i0 += STRIP) {
         ptrdiff_t i1 = i0 + STRIP < n ? i0 + STRIP : n;
-        for (ptrdiff_t e = 0; e < E; e++)
+        for (ptrdiff_t e = 0; e < E; e++) {
             FN(head_square)(xs, ys, n, k, i0, i1, cneg[e], floor_, X + e * L * n,
                             xr + e * L * STRIP);
+            count[e] += (i1 - i0) * (i1 - i0 - 1) / 2;
+        }
         for (ptrdiff_t t0 = i1; t0 < n; t0 += TILE) {
             ptrdiff_t len = t0 + TILE < n ? TILE : n - t0;
-            for (ptrdiff_t q = 0; q < E * L * TILE; q++)
-                acc[q] = 0;
+            const ptrdiff_t blocks = (len + STRIP - 1) / STRIP;
+            unsigned any = 0, full = ~0u >> (32 - blocks);
+            box_distances(box, nb, i0 / STRIP, t0 / STRIP, blocks, gap2);
+            for (ptrdiff_t e = 0; e < E; e++) {
+                live[e] = 0;
+                for (ptrdiff_t b = 0; b < blocks; b++)
+                    live[e] |= (unsigned)!((REAL)(cneg[e] * gap2[b]) < floor_) << b;
+                any |= live[e];
+            }
+            if (any == 0)
+                continue;
+            /* columns [j0, j1) span the blocks live at any scale */
+            ptrdiff_t j0 = __builtin_ctz(any) * STRIP, j1 = (32 - __builtin_clz(any)) * STRIP;
+            j1 = j1 < len ? j1 : len;
+            for (ptrdiff_t q = 0; q < E * L; q++)
+                for (ptrdiff_t j = j0; j < j1; j++)
+                    acc[q * TILE + j] = 0;
             for (ptrdiff_t i = i0; i < i1; i++) {
-                FN(distances)(xs[i], ys[i], xs + t0, ys + t0, len, d2);
+                FN(distances)(xs[i], ys[i], xs + t0 + j0, ys + t0 + j0, j1 - j0, d2 + j0);
                 for (ptrdiff_t e = 0; e < E; e++) {
-                    FN(kernel_row)(d2, cneg[e], floor_, len, kv);
-                    for (ptrdiff_t l = 0; l < L; l++) {
-                        REAL x = xr[(e * L + l) * STRIP + i - i0];
-                        REAL *restrict a = acc + (e * L + l) * TILE;
-                        for (ptrdiff_t j = 0; j < len; j++)
-                            a[j] += x * kv[j];
+                    const REAL *x = xr + e * L * STRIP + i - i0;
+                    REAL *a = acc + e * L * TILE;
+                    if (live[e] == full) { /* one call: a run of blocks sweeps slower */
+                        FN(row_span)(d2, cneg[e], floor_, 0, len, L, x, a, kv);
+                        count[e] += len;
+                        continue;
+                    }
+                    for (ptrdiff_t b0 = 0; b0 * STRIP < len; b0++) {
+                        if (!(live[e] >> b0 & 1))
+                            continue;
+                        ptrdiff_t b1 = b0 + 1;
+                        while (b1 * STRIP < len && live[e] >> b1 & 1)
+                            b1++;
+                        ptrdiff_t r1 = b1 * STRIP < len ? b1 * STRIP : len;
+                        FN(row_span)(d2, cneg[e], floor_, b0 * STRIP, r1, L, x, a, kv);
+                        count[e] += r1 - b0 * STRIP;
+                        b0 = b1;
                     }
                 }
             }
             for (ptrdiff_t q = 0; q < E * L; q++)
-                for (ptrdiff_t j = 0; j < len; j++)
+                for (ptrdiff_t j = j0; j < j1; j++)
                     X[q * n + t0 + j] += acc[q * TILE + j];
         }
     }

@@ -230,7 +230,8 @@ def _load_sweep():
     for dtype, name in ((np.float32, "sweep_float"), (np.float64, "sweep_double")):
         fn = getattr(lib, name)
         fn.argtypes = [ctypes.c_ssize_t] * 4 + [
-            np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")] * 4
+            np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")] * 4 + [
+            np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")]
         fn.restype = ctypes.c_int
         sweeps[np.dtype(dtype)] = fn
     return sweeps
@@ -267,16 +268,20 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
     strip's share of X_{l+1}(j) = sum_{i<j} X_l(i) K_ij for every level.  The
     strip's own 32 x 32 head square goes first, level by level, as level l+1
     reads level l at the strip's rows.  Levels 2..k meet the reversed weights
-    in one float64 contraction per path.  No pair is skipped or approximated,
-    except that exponents below one above the log of the smallest normal
-    number of ``dtype`` are raised to it (kernel values of 3.2e-38 in
-    float32): libmvec's vector exp falls back to scalar code for inputs whose
-    result underflows, which made an unfloored float32 sweep up to 12 times
-    as slow at eps = 1e-3.  Values that small lie far below the sums'
-    rounding.  A NaN in the points
-    or weights reaches the levels it touches.  Raises ValueError for a path
-    of fewer than two nodes (n = 0) and RuntimeError when the kernel could
-    not be built.
+    in one float64 contraction per path.  Exponents below one above the log
+    of the smallest normal number of ``dtype`` are raised to it (kernel
+    values of 3.2e-38 in float32): libmvec's vector exp falls back to scalar
+    code for inputs whose result underflows, which made an unfloored float32
+    sweep up to 12 times as slow at eps = 1e-3.  Values that small lie far
+    below the sums' rounding, so the sweep skips them a block at a time: at
+    each scale, a 32-column block is skipped for a strip when the exponent
+    formed from the squared distance between the two node blocks' bounding
+    boxes falls below that floor, as then every pair in it would take the
+    floor value.  No other pair is skipped or approximated, and each scale's
+    levels are bit for bit those of a sweep at that scale alone.  A NaN in
+    the points or weights reaches the levels it touches.  Raises ValueError
+    for a path of fewer than two nodes (n = 0) and RuntimeError when the
+    kernel could not be built.
 
     Returns
     -------
@@ -308,8 +313,10 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
     if isinstance(_SWEEP, RuntimeError):
         raise RuntimeError(*_SWEEP.args)
     sweep, points, cneg = _SWEEP[np.dtype(dtype)], np.ascontiguousarray(points), -0.5 / eps
+    kernel_values = np.zeros(E, dtype=np.int64)  # per scale, summed over the batch
     for b in range(B):  # a path at a time, so only one path's weight rows are ever copied
-        if sweep(n, M, E, k, points[b], np.ascontiguousarray(rho_rows[b]), cneg, out[b]) != 0:
+        if sweep(n, M, E, k, points[b], np.ascontiguousarray(rho_rows[b]), cneg, out[b],
+                 kernel_values) != 0:
             raise MemoryError("no scratch memory for the kernel sweep")
     for level in range(2, k + 1):
         out[:, :, :, level - 1] *= (1.0 / n) ** level / (TWO_PI * eps) ** (level - 1)

@@ -154,16 +154,81 @@ def test_signed_weight_rows_match_dense_oracle(n, k):
         assert np.all(np.abs(levels[0, :, e, 1:] - oracle) <= 1e-12 * scale)
 
 
+def _excursion_points(n, streams):
+    """Paths whose nodes n - 64..n - 33 (block 1 of the reversed path) are moved
+    3 to the right: at eps = 2e-4 the sweep skips that block against the
+    others, at eps = 0.3 it skips none."""
+    pts = sample_path_points(n, 13, streams)
+    pts[:, n - 2 * STRIP_ROWS:n - STRIP_ROWS, 0] += 3.0
+    return pts
+
+
+def _kernel_counts(points, eps, dtype):
+    """Kernel values the sweep evaluates for one path at each scale, by a direct call."""
+    n, eps = len(points) - 1, np.asarray(eps, dtype=float)
+    count = np.zeros(len(eps), dtype=np.int64)
+    out = np.empty((1, len(eps), 2))
+    assert slt_core._SWEEP[np.dtype(dtype)](n, 1, len(eps), 2, points, np.ones((1, n)),
+                                            -0.5 / eps, out, count) == 0
+    return count
+
+
+def _live_pair_count(points, epsilon, dtype):
+    """Pairs of the head squares plus those of every (strip, later block) pair
+    whose bounding boxes are not beyond the exp floor at ``epsilon``."""
+    n = len(points) - 1
+    reversed_nodes = points[n - 1::-1]
+    blocks = [reversed_nodes[lo:lo + STRIP_ROWS] for lo in range(0, n, STRIP_ROWS)]
+    floor = dtype(math.log(float(np.finfo(dtype).tiny)) + 1.0)
+    count = sum(len(b) * (len(b) - 1) // 2 for b in blocks)
+    for strip, block in itertools.combinations(blocks, 2):
+        gap = (np.maximum(block.min(axis=0) - strip.max(axis=0), 0.0)
+               + np.maximum(strip.min(axis=0) - block.max(axis=0), 0.0))
+        if not dtype(-0.5 / epsilon * (gap[0] * gap[0] + gap[1] * gap[1])) < floor:
+            count += len(strip) * len(block)
+    return count
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_kernel_counts_follow_the_block_rule(dtype):
+    # a prune that never fired would pass every test of the levels
+    n, eps = 3 * STRIP_ROWS + 5, [0.3, 2e-4]
+    pts = _excursion_points(n, [0])[0]
+    count = _kernel_counts(pts, eps, dtype)
+    assert count[0] == n * (n - 1) // 2 == _live_pair_count(pts, eps[0], dtype)
+    assert count[1] == _live_pair_count(pts, eps[1], dtype) < n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-4)],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_skipped_blocks_match_dense_oracle(k, dtype, rtol):
+    # blocks skipped at eps = 2e-4 are swept at 0.3; float32's rtol is that of
+    # test_underflowing_kernel_matches_dense_oracle
+    n, eps = 3 * STRIP_ROWS + 5, [0.3, 2e-4]
+    pts = _excursion_points(n, [0])
+    count = _kernel_counts(pts[0], eps, dtype)
+    assert count[1] < count[0] == n * (n - 1) // 2
+    rho = 0.5 + np.random.default_rng(n).random((1, 3, n))
+    levels = simplex_levels(pts, rho, eps, k, dtype)
+    for e, epsilon in enumerate(eps):
+        oracle = _dense_levels(pts[0], rho[0], epsilon, k)
+        np.testing.assert_allclose(levels[0, :, e, 1:], oracle, rtol=rtol, atol=0)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_scales_do_not_change_each_other(k, dtype):
-    # each scale's levels are bit for bit those of a sweep at that scale alone
-    n, eps = 3 * STRIP_ROWS + 5, [0.3, 0.05]
-    pts = sample_path_points(n, 13, [0, 1])
+    # each scale's levels are bit for bit those of a sweep at that scale alone,
+    # also where the sweep skips blocks at one scale and not at the other
+    n = 3 * STRIP_ROWS + 5
     rho = 0.5 + np.random.default_rng(n).random((2, 3, n))
-    joint = simplex_levels(pts, rho, eps, k, dtype)
-    for e, epsilon in enumerate(eps):
-        assert np.array_equal(joint[:, :, e], simplex_levels(pts, rho, [epsilon], k, dtype)[:, :, 0])
+    for pts, eps in [(sample_path_points(n, 13, [0, 1]), [0.3, 0.05]),
+                     (_excursion_points(n, [0, 1]), [0.3, 2e-4])]:
+        joint = simplex_levels(pts, rho, eps, k, dtype)
+        for e, epsilon in enumerate(eps):
+            alone = simplex_levels(pts, rho, [epsilon], k, dtype)
+            assert np.array_equal(joint[:, :, e], alone[:, :, 0])
 
 
 @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-4)])
@@ -185,14 +250,22 @@ def test_underflowing_kernel_matches_dense_oracle(dtype, rtol):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 def test_nan_node_reaches_levels(dtype):
-    # a NaN node must spoil the pair sums it enters, never vanish in the exp floor
-    n = 3 * STRIP_ROWS + 5
-    pts = sample_path_points(n, 13, [0, 1])
-    pts[0, 10] = np.nan
-    rho = 0.5 + np.random.default_rng(n).random((2, 1, n))
-    levels = simplex_levels(pts, rho, [0.3, 0.05], 3, dtype)
-    assert np.all(np.isnan(levels[0, :, :, 1:]))
-    assert np.all(np.isfinite(levels[0, :, :, 0])) and np.all(np.isfinite(levels[1]))
+    # a NaN node must spoil the pair sums it enters, never vanish in the exp
+    # floor or in a skipped block.  In the second case node 0 alone makes up
+    # the reversed path's last block, so it enters no head square; moved 100
+    # away, as on the NaN-free path, that block is skipped at every scale
+    for n, node, eps in [(3 * STRIP_ROWS + 5, 10, [0.3, 0.05]),
+                         (3 * STRIP_ROWS + 1, 0, [0.3, 2e-4])]:
+        pts = sample_path_points(n, 13, [0, 1])
+        pts[0, node] = np.nan
+        if node == 0:
+            pts[1, node] += 100.0
+            count = _kernel_counts(pts[1], eps, dtype)
+            assert count[1] <= count[0] == n * (n - 1) // 2 - (n - 1)
+        rho = 0.5 + np.random.default_rng(n).random((2, 1, n))
+        levels = simplex_levels(pts, rho, eps, 3, dtype)
+        assert np.all(np.isnan(levels[0, :, :, 1:]))
+        assert np.all(np.isfinite(levels[0, :, :, 0])) and np.all(np.isfinite(levels[1]))
 
 
 def test_translated_path_matches_dense_oracle():
