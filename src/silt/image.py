@@ -72,7 +72,9 @@ def perturbation_map(alpha=0.2, name="swirl") -> Diffeomorphism:
     so the map is a global diffeomorphism.  The inverse iterates the fixed
     point u = v - alpha s(u) to a 1e-12 forward residual.  The iteration
     contracts at rate alpha from an error of at most alpha sqrt(2); its step
-    cap is what that rate needs to reach 1e-12, and at least 500.
+    cap is what that rate needs to reach 1e-12, and at least 500.  Each step
+    evaluates s once: alpha s(u) gives both the residual u + alpha s(u) - v of
+    the current iterate and the next iterate v - alpha s(u).
     """
     if not 0 <= alpha < 1:
         raise ValueError("alpha must lie in [0, 1)")
@@ -80,7 +82,10 @@ def perturbation_map(alpha=0.2, name="swirl") -> Diffeomorphism:
         500, math.ceil(math.log(1e-12 / (alpha * math.sqrt(2))) / math.log(alpha)))
 
     def shift(u):
-        return np.stack([np.sin(u[:, 1]), np.cos(u[:, 0])], axis=1)
+        s = np.empty(u.shape)
+        np.sin(u[:, 1], out=s[:, 0])
+        np.cos(u[:, 0], out=s[:, 1])
+        return s
 
     def forward(u):
         u = np.atleast_2d(np.asarray(u, dtype=float))
@@ -88,11 +93,14 @@ def perturbation_map(alpha=0.2, name="swirl") -> Diffeomorphism:
 
     def inverse(v):
         v = np.atleast_2d(np.asarray(v, dtype=float))
-        u = v
+        u = v - alpha * shift(v)
         for _ in range(steps):
-            u = v - alpha * shift(u)
-            if np.max(np.linalg.norm(forward(u) - v, axis=1)) <= 1e-12:
+            s = alpha * shift(u)
+            r = u + s - v
+            # sqrt is monotone: the largest norm is the root of the largest square
+            if math.sqrt(np.max(r[:, 0] * r[:, 0] + r[:, 1] * r[:, 1])) <= 1e-12:
                 return u
+            u = v - s
         raise RuntimeError("fixed-point inversion failed to reach the residual tolerance")
 
     def jac_det(u):
@@ -159,17 +167,20 @@ def bump_function(center=(0.0, 0.0), radius=1.5):
 
     A planar test function: it takes points of shape (m, 2).
     ``delta_family_check`` builds the k-point integrand as the product of
-    its values at the free points.
+    its values at the free points.  A point with a NaN coordinate maps to
+    NaN; a point at infinity lies outside the support and maps to 0.
     """
     center = np.asarray(center, dtype=float)
     radius = float(radius)
 
     def bump(v):
         v = np.atleast_2d(np.asarray(v, dtype=float))
-        r2 = np.sum((v - center) ** 2, axis=1) / radius**2
+        d = v - center
+        r2 = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) / radius**2
         out = np.zeros(v.shape[0])
         inside = r2 < 1.0
         out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+        out[np.isnan(r2)] = np.nan
         return out
 
     return bump
@@ -209,6 +220,11 @@ def delta_family_check(phi, v_k, F: Diffeomorphism, epsilon_levels, k=2, n_nodes
     phi(F(u2)) |det F'(u2)| times h(u1) = phi(F(u1)) / |det F'(u1)|, and h is
     evaluated once per pair of distinct node sums: (distinct pair sums)^2
     points per scale, 841^2 at 41 nodes against 41^4 for the nested sum.
+    |det F'(u1)| is evaluated only where phi(F(u1)) != 0, so a NaN
+    determinant where phi vanishes does not reach the value.
+
+    A scale whose value is not finite (a NaN phi value, or a zero
+    determinant where phi does not vanish) raises a ValueError naming it.
     """
     if k not in (2, 3):
         raise ValueError("delta-family check supports k = 2 or 3 only")
@@ -235,6 +251,7 @@ def delta_family_check(phi, v_k, F: Diffeomorphism, epsilon_levels, k=2, n_nodes
         m = sums.size
         G = np.zeros((nodes.size, m))
         np.add.at(G, (np.arange(nodes.size)[:, None], pair.reshape(nodes.size, nodes.size)), wts)
+        block = np.empty((_PAIR_SUM_ROWS, m, 2))  # inner points of one block, reused
 
     rows = []
     for eps in eps_levels:
@@ -244,14 +261,23 @@ def delta_family_check(phi, v_k, F: Diffeomorphism, epsilon_levels, k=2, n_nodes
             value = float(np.sum(pw * phi(F.forward(u))) / math.pi)
         else:
             outer = pw * phi(F.forward(u)) * np.abs(F.jac_det(u))
+            axis0, axis1 = c[0] + scale * sums, c[1] + scale * sums
             GH = np.zeros((nodes.size, m))
             for lo in range(0, m, _PAIR_SUM_ROWS):
-                xs = sums[lo : lo + _PAIR_SUM_ROWS]
-                u1 = c[None, :] + scale * np.column_stack([np.repeat(xs, m), np.tile(sums, xs.size)])
-                h = phi(F.forward(u1)) / np.abs(F.jac_det(u1))
-                GH += G[:, lo : lo + xs.size] @ h.reshape(xs.size, m)
+                nb = min(_PAIR_SUM_ROWS, m - lo)
+                block[:nb, :, 0] = axis0[lo : lo + nb, None]
+                block[:nb, :, 1] = axis1
+                u1 = block[:nb].reshape(-1, 2)
+                # a copy: phi's array is not ours to divide in place
+                h = np.array(phi(F.forward(u1)), dtype=float)
+                live = h != 0  # NaN != 0, so a NaN h is still divided
+                if live.any():
+                    h[live] /= np.abs(F.jac_det(u1[live]))
+                GH += G[:, lo : lo + nb] @ h.reshape(nb, m)
             inner = GH @ G.T                                  # [a, b]: sum over a', b'
             value = float(np.sum(outer * inner.ravel()) / math.pi**2)
+        if not math.isfinite(value):
+            raise ValueError(f"delta-family value at epsilon={eps:g} is not finite ({value})")
         rows.append(DeltaRow(epsilon=float(eps), value=value, target=target,
                              deviation=abs(value - target)))
     return rows

@@ -1,10 +1,12 @@
 """Tests for image-path functionals and the delta-family check."""
 
+import math
+
 import numpy as np
 import pytest
 
-from silt import (ConfigError, EnsembleConfig, PlanarPath, ScalarWeight,
-                  SingularityError, affine_map, builtin_maps, bump_function,
+from silt import (ConfigError, Diffeomorphism, EnsembleConfig, PlanarPath,
+                  ScalarWeight, SingularityError, affine_map, builtin_maps, bump_function,
                   delta_family_check, estimate_renormalized, image_slt,
                   jacobian_weight, perturbation_map, sample_path,
                   simplex_functional)
@@ -237,6 +239,155 @@ def test_delta_k3_matches_nested_sum(name, n_nodes):
         expected = _nested_delta_k3(phi, V, MAPS[name], [0.1, 0.01], n_nodes)
         np.testing.assert_allclose([r.value for r in rows], expected, rtol=1e-13, atol=0)
         assert all(r.target == phi(V[None, :])[0] ** 2 for r in rows)
+
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit references: the earlier numpy path of shift/forward/inverse, the
+# bump and the k = 3 block loop, kept literally (np.stack, two shifts per
+# fixed-point step, a reduce over the length-2 axis, column_stack/repeat/tile
+# and |det F'| at every inner point)
+# ---------------------------------------------------------------------------
+
+def _reference_swirl(alpha):
+    steps = 500 if alpha == 0 else max(
+        500, math.ceil(math.log(1e-12 / (alpha * math.sqrt(2))) / math.log(alpha)))
+
+    def shift(u):
+        return np.stack([np.sin(u[:, 1]), np.cos(u[:, 0])], axis=1)
+
+    def forward(u):
+        u = np.atleast_2d(np.asarray(u, dtype=float))
+        return u + alpha * shift(u)
+
+    def inverse(v):
+        v = np.atleast_2d(np.asarray(v, dtype=float))
+        u = v
+        for _ in range(steps):
+            u = v - alpha * shift(u)
+            if np.max(np.linalg.norm(forward(u) - v, axis=1)) <= 1e-12:
+                return u
+        raise RuntimeError("fixed-point inversion failed to reach the residual tolerance")
+
+    def jac_det(u):
+        u = np.atleast_2d(np.asarray(u, dtype=float))
+        return 1.0 + alpha**2 * np.sin(u[:, 0]) * np.cos(u[:, 1])
+
+    return Diffeomorphism(forward=forward, inverse=inverse, jac_det=jac_det,
+                          det_lower_bound=1.0 - alpha**2)
+
+
+def _reference_bump(center, radius):
+    center = np.asarray(center, dtype=float)
+    radius = float(radius)
+
+    def bump(v):
+        v = np.atleast_2d(np.asarray(v, dtype=float))
+        r2 = np.sum((v - center) ** 2, axis=1) / radius**2
+        out = np.zeros(v.shape[0])
+        inside = r2 < 1.0
+        out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+        return out
+
+    return bump
+
+
+def _reference_delta(phi, v_k, F, epsilon_levels, k, n_nodes):
+    nodes, wts = np.polynomial.hermite.hermgauss(int(n_nodes))
+    v_k = np.asarray(v_k, dtype=float)
+    c = F.inverse(v_k[None, :])[0]
+    N1, N2 = np.meshgrid(nodes, nodes, indexing="ij")
+    planar = np.stack([N1.ravel(), N2.ravel()], axis=1)
+    pw = np.outer(wts, wts).ravel()
+    if k == 3:
+        sums, pair = np.unique(np.add.outer(nodes, nodes), return_inverse=True)
+        m = sums.size
+        G = np.zeros((nodes.size, m))
+        np.add.at(G, (np.arange(nodes.size)[:, None], pair.reshape(nodes.size, nodes.size)), wts)
+    values = []
+    for eps in epsilon_levels:
+        scale = math.sqrt(2.0 * eps)
+        u = c[None, :] + scale * planar
+        if k == 2:
+            value = float(np.sum(pw * phi(F.forward(u))) / math.pi)
+        else:
+            outer = pw * phi(F.forward(u)) * np.abs(F.jac_det(u))
+            GH = np.zeros((nodes.size, m))
+            for lo in range(0, m, 16):
+                xs = sums[lo : lo + 16]
+                u1 = c[None, :] + scale * np.column_stack([np.repeat(xs, m), np.tile(sums, xs.size)])
+                h = phi(F.forward(u1)) / np.abs(F.jac_det(u1))
+                GH += G[:, lo : lo + xs.size] @ h.reshape(xs.size, m)
+            inner = GH @ G.T
+            value = float(np.sum(outer * inner.ravel()) / math.pi**2)
+        values.append(value)
+    return values
+
+
+@pytest.mark.parametrize("n_nodes", [21, 41])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", ["swirl", "shear", "identity"])
+def test_delta_matches_reference_bits(name, k, n_nodes):
+    reference_map = _reference_swirl(0.2) if name == "swirl" else MAPS[name]
+    rows = delta_family_check(bump_function(center=V, radius=1.5), V, MAPS[name],
+                              [0.1, 0.01], k=k, n_nodes=n_nodes)
+    expected = _reference_delta(_reference_bump(V, 1.5), V, reference_map, [0.1, 0.01],
+                                k, n_nodes)
+    np.testing.assert_array_equal([r.value for r in rows], expected)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.97])
+def test_perturbation_map_matches_reference_bits(alpha):
+    pts = np.random.default_rng(6).normal(size=(1000, 2)) * 2.0
+    F, reference = perturbation_map(alpha), _reference_swirl(alpha)
+    np.testing.assert_array_equal(F.inverse(pts), reference.inverse(pts))
+    np.testing.assert_array_equal(F.forward(pts), reference.forward(pts))
+    np.testing.assert_array_equal(bump_function(V, 1.5)(pts), _reference_bump(V, 1.5)(pts))
+
+
+def test_delta_k3_jacobian_only_where_phi_nonzero():
+    swirl, received = MAPS["swirl"], []
+
+    def jac_det(u):
+        received.append(len(u))
+        return swirl.jac_det(u)
+
+    F = Diffeomorphism(swirl.forward, swirl.inverse, jac_det, swirl.det_lower_bound)
+    phi = bump_function(center=V, radius=1.5)
+    delta_family_check(phi, V, F, [0.1], k=3, n_nodes=41)
+
+    # the inner points: every pair of distinct Hermite node sums, about c
+    nodes = np.polynomial.hermite.hermgauss(41)[0]
+    sums = np.unique(np.add.outer(nodes, nodes))
+    X, Y = np.meshgrid(sums, sums, indexing="ij")
+    c = swirl.inverse(V[None, :])[0]
+    inner = c[None, :] + math.sqrt(2 * 0.1) * np.stack([X.ravel(), Y.ravel()], axis=1)
+    live = np.count_nonzero(phi(swirl.forward(inner)))
+    assert 0 < live < 0.2 * inner.shape[0]
+    assert sum(received) == 41**2 + live
+
+
+def test_bump_maps_nan_to_nan_and_infinity_to_zero():
+    phi = bump_function(center=V, radius=1.5)
+    out = phi(np.array([[np.nan, 0.0], [0.3, np.nan], [np.inf, 0.0],
+                        [-np.inf, np.inf], V, [9.0, 9.0]]))
+    assert np.isnan(out[:2]).all()
+    np.testing.assert_array_equal(out[2:], [0.0, 0.0, np.exp(-1), 0.0])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_delta_nan_phi_raises(k):
+    # a shear whose image is NaN away from the bump's support: phi is NaN there
+    shear = MAPS["shear"]
+
+    def forward(u):
+        v = shear.forward(u)
+        v[np.linalg.norm(v - V, axis=1) > 2.0] = np.nan
+        return v
+
+    F = Diffeomorphism(forward, shear.inverse, shear.jac_det, shear.det_lower_bound)
+    with pytest.raises(ValueError, match=r"epsilon=0\.1 is not finite"):
+        delta_family_check(bump_function(center=V, radius=1.5), V, F, [0.1, 0.01], k=k)
 
 
 def test_delta_truncation_config_error():
