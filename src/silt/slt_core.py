@@ -22,13 +22,14 @@ O(k n^2) for any number of weights, with the sums of literal nested loops.
 
 That recursion is one C kernel, ``_sweep.c``, which forms each kernel exponent
 from a float64 squared distance, exponentiates it with glibc's vector math
-library (libmvec) and feeds it to every level in the same pass.  Importing this
-module builds the kernel with ``COMPILER`` (gcc) for this CPU, or loads the
-build cached for this source, flags and CPU in the first usable per-user
-directory of $XDG_CACHE_HOME/silt, ~/.cache/silt and <tempdir>/silt-<uid>, and
-then removes the builds there of any other source or flags.  A failed build
-leaves the import working; ``simplex_levels`` then raises a RuntimeError that
-names the command and the tail of its stderr.
+library (libmvec) and feeds it to every level in the same pass.  It takes no
+weight: ``simplex_levels`` applies the weights by ``einsum``, summed in path
+order, not by BLAS.  Importing this module builds the kernel with ``COMPILER``
+(gcc) for this CPU, or loads the build cached for this source, flags and CPU in
+the first usable per-user directory of $XDG_CACHE_HOME/silt, ~/.cache/silt and
+<tempdir>/silt-<uid>, and then removes the builds there of any other source or
+flags.  A failed build leaves the import working; ``simplex_levels`` then
+raises a RuntimeError that names the command and the tail of its stderr.
 """
 
 import ctypes
@@ -229,8 +230,8 @@ def _load_sweep():
     sweeps = {}
     for dtype, name in ((np.float32, "sweep_float"), (np.float64, "sweep_double")):
         fn = getattr(lib, name)
-        fn.argtypes = [ctypes.c_ssize_t] * 4 + [
-            np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")] * 4 + [
+        fn.argtypes = [ctypes.c_ssize_t] * 3 + [
+            np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")] * 3 + [
             np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")]
         fn.restype = ctypes.c_int
         sweeps[np.dtype(dtype)] = fn
@@ -268,20 +269,20 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
     strip's share of X_{l+1}(j) = sum_{i<j} X_l(i) K_ij for every level.  The
     strip's own 32 x 32 head square goes first, level by level, as level l+1
     reads level l at the strip's rows.  Levels 2..k meet the reversed weights
-    in one float64 contraction per path.  Exponents below one above the log
-    of the smallest normal number of ``dtype`` are raised to it (kernel
-    values of 3.2e-38 in float32): libmvec's vector exp falls back to scalar
-    code for inputs whose result underflows, which made an unfloored float32
-    sweep up to 12 times as slow at eps = 1e-3.  Values that small lie far
-    below the sums' rounding, so the sweep skips them a block at a time: at
-    each scale, a 32-column block is skipped for a strip when the exponent
-    formed from the squared distance between the two node blocks' bounding
-    boxes falls below that floor, as then every pair in it would take the
-    floor value.  No other pair is skipped or approximated, and each scale's
-    levels are bit for bit those of a sweep at that scale alone.  A NaN in
-    the points or weights reaches the levels it touches.  Raises ValueError
-    for a path of fewer than two nodes (n = 0) and RuntimeError when the
-    kernel could not be built.
+    in numpy, by ``einsum``, summed over j in path order (BLAS would move the
+    last bits).  Exponents below one above the log of the smallest normal
+    number of ``dtype`` are raised to it (kernel values of 3.2e-38 in
+    float32): libmvec's vector exp falls back to scalar code for inputs whose
+    result underflows, which made an unfloored float32 sweep up to 12 times as
+    slow at eps = 1e-3.  Values that small lie far below the sums' rounding,
+    so the sweep skips them a block at a time: at each scale, a 32-column
+    block is skipped for a strip when the exponent formed from the squared
+    distance between the two node blocks' bounding boxes falls below that
+    floor, as then every pair in it would take the floor value.  No other pair
+    is skipped or approximated, and each scale's levels are bit for bit those
+    of a sweep at that scale alone.  A NaN in the points or weights reaches
+    the levels it touches.  Raises ValueError for a path of fewer than two
+    nodes (n = 0) and RuntimeError when the kernel could not be built.
 
     Returns
     -------
@@ -314,10 +315,11 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
         raise RuntimeError(*_SWEEP.args)
     sweep, points, cneg = _SWEEP[np.dtype(dtype)], np.ascontiguousarray(points), -0.5 / eps
     kernel_values = np.zeros(E, dtype=np.int64)  # per scale, summed over the batch
-    for b in range(B):  # a path at a time, so only one path's weight rows are ever copied
-        if sweep(n, M, E, k, points[b], np.ascontiguousarray(rho_rows[b]), cneg, out[b],
-                 kernel_values) != 0:
+    X = np.empty((E * (k - 1), n))  # one path's chain sums: a batch's would weigh on memory
+    for b in range(B):
+        if sweep(n, E, k, points[b], cneg, X, kernel_values) != 0:
             raise MemoryError("no scratch memory for the kernel sweep")
+        out[b, :, :, 1:] = np.einsum("mj,qj->mq", rho_rows[b, :, ::-1], X).reshape(M, E, k - 1)
     for level in range(2, k + 1):
         out[:, :, :, level - 1] *= (1.0 / n) ** level / (TWO_PI * eps) ** (level - 1)
     return out

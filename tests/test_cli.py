@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def test_config_round_trip(tmp_path):
                            n_paths=100, n_steps=64, seed=5,
                            weight_spec={"kind": "rare-spike", "n_levels": 10},
                            output_path=str(tmp_path / "round"))
-    sidecar = json.load(open(run_experiment(cfg).sidecar_path))
+    sidecar = json.loads(Path(run_experiment(cfg).sidecar_path).read_text())
     assert parse_config(json.dumps(sidecar["config"])) == cfg
 
 
@@ -179,17 +180,17 @@ def test_converge_no_oracle_for_k3(tmp_path):
 def test_byte_identical_reruns(tmp_path):
     cfg = small_converge(tmp_path, name="det")
     run_experiment(cfg)
-    first_csv = open(cfg.output_path + ".csv", "rb").read()
-    first_json = open(cfg.output_path + ".json", "rb").read()
+    first_csv = Path(cfg.output_path + ".csv").read_bytes()
+    first_json = Path(cfg.output_path + ".json").read_bytes()
     run_experiment(cfg)
-    assert open(cfg.output_path + ".csv", "rb").read() == first_csv
-    assert open(cfg.output_path + ".json", "rb").read() == first_json
+    assert Path(cfg.output_path + ".csv").read_bytes() == first_csv
+    assert Path(cfg.output_path + ".json").read_bytes() == first_json
 
 
 def test_sidecar_carries_config_and_version(tmp_path):
     cfg = small_converge(tmp_path, name="sidecar")
     result = run_experiment(cfg)
-    sidecar = json.load(open(result.sidecar_path))
+    sidecar = json.loads(Path(result.sidecar_path).read_text())
     assert sidecar["version"]
     assert sidecar["config"]["subcommand"] == "converge"
     assert sidecar["config"]["seed"] == 9
@@ -200,7 +201,7 @@ def test_timings_flag_fills_wall_time(tmp_path):
     cfg = small_converge(tmp_path, name="timed", timings=True)
     result = run_experiment(cfg)
     assert all(row.wall_time_s is not None and row.wall_time_s >= 0 for row in result.rows)
-    sidecar = json.load(open(result.sidecar_path))
+    sidecar = json.loads(Path(result.sidecar_path).read_text())
     assert "timings" in sidecar
 
 
@@ -342,7 +343,7 @@ def test_main_config_file_overrides_flags(tmp_path, capsys):
     }))
     code = main(["--subcommand", "brick-check", "--config", str(cfg_path)])
     assert code == 0
-    sidecar = json.load(open(tmp_path / "from_file.json"))
+    sidecar = json.loads((tmp_path / "from_file.json").read_text())
     assert sidecar["config"]["subcommand"] == "converge"
     assert sidecar["config"]["n_paths"] == 20
 

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -167,9 +168,8 @@ def _kernel_counts(points, eps, dtype):
     """Kernel values the sweep evaluates for one path at each scale, by a direct call."""
     n, eps = len(points) - 1, np.asarray(eps, dtype=float)
     count = np.zeros(len(eps), dtype=np.int64)
-    out = np.empty((1, len(eps), 2))
-    assert slt_core._SWEEP[np.dtype(dtype)](n, 1, len(eps), 2, points, np.ones((1, n)),
-                                            -0.5 / eps, out, count) == 0
+    X = np.empty((len(eps), n))
+    assert slt_core._SWEEP[np.dtype(dtype)](n, len(eps), 2, points, -0.5 / eps, X, count) == 0
     return count
 
 
@@ -187,6 +187,34 @@ def _live_pair_count(points, epsilon, dtype):
         if not dtype(-0.5 / epsilon * (gap[0] * gap[0] + gap[1] * gap[1])) < floor:
             count += len(strip) * len(block)
     return count
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("M", [1, 3, 30])
+def test_weights_meet_chain_sums_in_sequential_order(M, k, dtype):
+    # the CSV bytes rest on this order: level l of weight m at scale e is
+    # sum_j rho[m, n-1-j] X[q, j], q = e (k-1) + l - 2, summed from j = 0 up in
+    # float64; a reordered or blocked sum (BLAS) moves the last bits
+    n, eps = 3 * STRIP_ROWS + 5, np.array([0.3, 0.05])
+    pts = sample_path_points(n, 13, [0])
+    rho = np.random.default_rng(M * k).normal(size=(1, M, n))
+    if M > 1:  # one row NaN at one node, one row zero, the others plain
+        rho[0, 0] = 0.0
+        rho[0, M - 1, 7] = np.nan
+    levels = simplex_levels(pts, rho, eps, k, dtype)
+    X = np.empty((len(eps) * (k - 1), n))
+    assert slt_core._SWEEP[np.dtype(dtype)](n, len(eps), k, pts[0], -0.5 / eps, X,
+                                            np.zeros(len(eps), dtype=np.int64)) == 0
+    expected = np.empty((M, len(eps), k - 1))
+    for m in range(M):
+        for q in range(len(eps) * (k - 1)):
+            s = 0.0
+            for j in range(n):
+                s += rho[0, m, n - 1 - j] * X[q, j]
+            e, l = divmod(q, k - 1)
+            expected[m, e, l] = s * ((1.0 / n) ** (l + 2) / (2.0 * np.pi * eps[e]) ** (l + 1))
+    np.testing.assert_array_equal(levels[0, :, :, 1:], expected)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
@@ -618,7 +646,7 @@ def test_warm_cache_load_starts_no_compiler(tmp_path, monkeypatch):
 
 def test_new_build_removes_superseded_builds(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    source = open(slt_core._SWEEP_SOURCE).read()
+    source = Path(slt_core._SWEEP_SOURCE).read_text()
     for copy in ("first", "second"):  # two sources that differ only by a comment
         path = tmp_path / f"{copy}.c"
         path.write_text(f"/* {copy} copy */\n{source}")
