@@ -30,11 +30,6 @@ class Brick:
         object.__setattr__(self, "eps_seq", eps)
         eps.setflags(write=False)
 
-    @property
-    def sq_sum(self):
-        """Square sum of the widths."""
-        return float(np.sum(self.eps_seq**2))
-
 
 @dataclass(frozen=True)
 class FiniteCompact:
@@ -61,7 +56,6 @@ class IsonormalSample:
     """Joint Gaussian draws, one column per index point, with covariance ``gram``."""
 
     draws: np.ndarray
-    seed: int
     gram: np.ndarray
 
     def __post_init__(self):
@@ -152,7 +146,7 @@ def isonormal_sample(gram, n_samples, seed) -> IsonormalSample:
         L = np.linalg.cholesky(G + jitter * np.eye(M))
     rng = np.random.Generator(np.random.Philox(key=seed))
     Z = rng.standard_normal((int(n_samples), M))
-    return IsonormalSample(draws=Z @ L.T, seed=int(seed), gram=G)
+    return IsonormalSample(draws=Z @ L.T, gram=G)
 
 
 def canonical_metric(gram) -> np.ndarray:

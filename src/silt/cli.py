@@ -100,6 +100,8 @@ class ExperimentConfig:
             problems.append(f"dtype must be float32 or float64, got {self.dtype!r}")
         if not self.output_path or not isinstance(self.output_path, str):
             problems.append(f"output_path must be a nonempty string, got {self.output_path!r}")
+        elif not os.path.basename(self.output_path):
+            problems.append(f"output_path must end in a file name, got {self.output_path!r}")
         elif not os.path.isdir(folder := os.path.dirname(self.output_path) or "."):
             problems.append(f"output directory {folder!r} does not exist")
         if not isinstance(self.weight_spec, dict):
@@ -191,11 +193,11 @@ def _grid_problems(grid):
     return []
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a JSON configuration document."""
+def parse_config(text: str | bytes) -> ExperimentConfig:
+    """Parse and validate a JSON configuration document: a str, or bytes in UTF-8, -16 or -32."""
     try:
         raw = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+    except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError, or an integer too long
         raise ConfigError([f"configuration is not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["configuration must be a JSON object"])
@@ -297,7 +299,7 @@ def _run_converge(cfg):
         stats = result.stats(eps_index=e)
         rows.append(_stats_row(cfg, stats, eps, oracle=_renorm_oracle(cfg.k, probe, eps)))
         level_stats[eps] = [result.level_stats(l, eps_index=e) for l in range(1, cfg.k + 1)]
-    return rows, {"level_stats": level_stats, "ensemble": result}
+    return rows, {"level_stats": level_stats}
 
 
 def _run_hilbert(cfg):
@@ -340,9 +342,7 @@ def _brick_check_spike(cfg):
             for m in range(n_levels)]
     dudley = dudley_estimate(canonical_metric(skeleton.gram()))
     rows.append(_row(cfg, mean=dudley))
-    extras = {"profile": profile, "contained": contained, "dudley": dudley,
-              "weight": weight}
-    return rows, extras
+    return rows, {"contained": contained, "dudley": dudley}
 
 
 def _brick_check_occupation(cfg):
@@ -354,10 +354,7 @@ def _brick_check_occupation(cfg):
     dudley = dudley_estimate(canonical_metric(G))
     emp = sample.empirical_covariance()
     frob = float(np.linalg.norm(emp - G) / np.linalg.norm(G))
-    rows = [_row(cfg, mean=dudley, stderr=frob)]
-    extras = {"gram": G, "sample": sample, "dudley": dudley, "frobenius_rel": frob,
-              "field": field_}
-    return rows, extras
+    return [_row(cfg, mean=dudley, stderr=frob)], {"dudley": dudley, "frobenius_rel": frob}
 
 
 def _run_image_check(cfg):
@@ -510,7 +507,7 @@ def main(argv=None) -> int:
     flags = vars(build_parser().parse_args(argv))
     try:
         if "config" in flags:
-            with open(flags["config"]) as fh:
+            with open(flags["config"], "rb") as fh:
                 cfg = parse_config(fh.read())
         else:
             cfg = _flags_config(flags).validate()

@@ -132,8 +132,6 @@ class ImageIdentity:
     value_image: float
     value_weighted: float
     residual: float
-    k: int
-    epsilon: float
 
 
 def image_slt(path: PlanarPath, F: Diffeomorphism, epsilon, k) -> ImageIdentity:
@@ -154,8 +152,7 @@ def image_slt(path: PlanarPath, F: Diffeomorphism, epsilon, k) -> ImageIdentity:
 
     denom = max(abs(val_a), abs(val_b))
     residual = 0.0 if denom == 0.0 else abs(val_a - val_b) / denom
-    return ImageIdentity(value_image=val_a, value_weighted=val_b, residual=residual,
-                         k=int(k), epsilon=float(epsilon))
+    return ImageIdentity(value_image=val_a, value_weighted=val_b, residual=residual)
 
 
 # ---------------------------------------------------------------------------

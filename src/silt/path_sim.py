@@ -14,35 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_SEED = 2**64 - 1
-
-
-def _generator(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed).jumped(stream))
-
-
-def _check_seed(seed):
-    if not (0 <= int(seed) <= MAX_SEED):
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-
 
 @dataclass(frozen=True)
 class PlanarPath:
     """A planar Wiener trajectory sampled on the uniform grid t_i = i / n_steps.
 
     ``points`` has shape ``(n_steps + 1, 2)`` with ``points[0] = (0, 0)``; the
-    array is frozen (read-only) so paths can be shared between workers.
+    array is made read-only.
     """
 
     n_steps: int
     points: np.ndarray
-    seed: int
-    stream: int = 0
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        _check_seed(self.seed)
         if self.points.shape != (self.n_steps + 1, 2):
             raise ValueError(
                 f"points must have shape {(self.n_steps + 1, 2)}, got {self.points.shape}"
@@ -60,7 +46,7 @@ def sample_path(n_steps: int, seed: int, stream: int = 0) -> PlanarPath:
     bit-identical output across runs and worker counts.
     """
     points = sample_path_points(n_steps, seed, [stream])[0]
-    return PlanarPath(n_steps=n_steps, points=points, seed=int(seed), stream=int(stream))
+    return PlanarPath(n_steps=n_steps, points=points)
 
 
 def sample_path_points(n_steps: int, seed: int, streams) -> np.ndarray:
@@ -71,12 +57,13 @@ def sample_path_points(n_steps: int, seed: int, streams) -> np.ndarray:
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    _check_seed(seed)
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     streams = list(streams)
     out = np.empty((len(streams), n_steps + 1, 2))
     scale = np.sqrt(1.0 / n_steps)
     for row, stream in enumerate(streams):
-        rng = _generator(seed, stream)
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(stream))
         out[row, 0] = 0.0
         np.cumsum(rng.standard_normal((n_steps, 2)) * scale, axis=0, out=out[row, 1:])
     return out

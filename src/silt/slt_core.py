@@ -93,15 +93,8 @@ class SimplexEstimate:
     """Value of one grid simplex functional."""
 
     value: float
-    k: int
-    epsilon: float
-    n_steps: int
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be finite and > 0")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
         if not np.isfinite(self.value):
             raise ValueError("value must be finite")
 
@@ -114,10 +107,10 @@ class MCStats:
     variance: float
     stderr: float
     abs_moments: dict
-    n_paths: int
 
     @classmethod
     def from_samples(cls, values):
+        """Stats of ``values``; ValueError for under 2 samples or a moment that is not finite."""
         values = np.asarray(values, dtype=float)
         n = values.size
         if n < 2:
@@ -126,8 +119,11 @@ class MCStats:
         variance = float(values.var(ddof=1))
         a = np.abs(values)
         moments = {1: float(a.mean()), 2: float((a * a).mean()), 4: float((a**4).mean())}
+        if not np.isfinite([mean, variance, *moments.values()]).all():
+            raise ValueError(f"moments of {n} samples are not finite (largest |value| "
+                             f"{a.max():g})")
         return cls(mean=mean, variance=variance, stderr=math.sqrt(variance / n),
-                   abs_moments=moments, n_paths=n)
+                   abs_moments=moments)
 
 
 def _as_weight_rows(rho, pts):
@@ -335,8 +331,7 @@ def simplex_functional(path: PlanarPath, rho, epsilon, k) -> SimplexEstimate:
         raise ValueError(f"simplex_functional needs one weight coordinate, got {rho.n_coords}")
     pts = path.points[None]
     levels = simplex_levels(pts, _as_weight_rows(rho, pts), [epsilon], k)
-    return SimplexEstimate(value=float(levels[0, 0, 0, k - 1]), k=k,
-                           epsilon=float(epsilon), n_steps=path.n_steps)
+    return SimplexEstimate(value=float(levels[0, 0, 0, k - 1]))
 
 
 def dynkin_renormalize(t_values, epsilon, k=None):
@@ -405,12 +400,11 @@ class EnsembleConfig:
 class EnsembleResult:
     """Per-path functional values for a coupled ensemble.
 
-    ``levels`` has shape (n_paths, M, n_eps, k): raw simplex sums per level.
+    ``levels`` has shape (n_paths, M, n_eps, k): raw simplex sums per level,
+    scales in the order of the caller's ``eps_list``.
     ``renormalized`` has shape (n_paths, M, n_eps).
     """
 
-    eps_list: np.ndarray
-    k: int
     levels: np.ndarray
     renormalized: np.ndarray
 
@@ -549,7 +543,7 @@ def ensemble_renormalized(cfg: EnsembleConfig, eps_list, k, rho) -> EnsembleResu
     renorm = np.empty((cfg.n_paths, levels.shape[1], len(eps)))
     for e, epsilon in enumerate(eps):
         renorm[:, :, e] = dynkin_renormalize(levels[:, :, e, :], epsilon, k)
-    return EnsembleResult(eps_list=eps, k=k, levels=levels, renormalized=renorm)
+    return EnsembleResult(levels=levels, renormalized=renorm)
 
 
 def estimate_renormalized(n_paths, n_steps, epsilon, k, rho, seed,
@@ -573,7 +567,6 @@ class CauchyRow:
     eps_high: float
     eps_low: float
     mean_sq_diff: float
-    n_paths: int
 
 
 def cauchy_diagnostic(cfg: EnsembleConfig, eps_levels, k, rho):
@@ -596,6 +589,5 @@ def cauchy_diagnostic(cfg: EnsembleConfig, eps_levels, k, rho):
     for j in range(eps.size - 1):
         diff = result.renormalized[:, :, j] - result.renormalized[:, :, j + 1]
         rows.append(CauchyRow(eps_high=float(eps[j]), eps_low=float(eps[j + 1]),
-                              mean_sq_diff=float(np.mean(np.sum(diff * diff, axis=1))),
-                              n_paths=cfg.n_paths))
+                              mean_sq_diff=float(np.mean(np.sum(diff * diff, axis=1)))))
     return rows

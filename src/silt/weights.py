@@ -126,7 +126,6 @@ class CovarianceOracle:
     """Gram oracle of a random field: points (m, d) -> (m, m) matrix of (rho(u), rho(v))."""
 
     evaluator: object
-    name: str = ""
 
     def gram(self, points):
         """Gram matrix on a point set; validated symmetric with nonnegative
@@ -189,19 +188,16 @@ class HilbertSltResult:
     it is nondecreasing in j by construction.
     """
 
-    epsilon: float
-    k: int
     coord_stats: tuple
     norm_sq_partial: np.ndarray
 
     @classmethod
     def from_ensemble(cls, result, eps_index):
-        """The result at scale ``result.eps_list[eps_index]`` of a coupled ensemble."""
+        """The result at the scale numbered ``eps_index`` of a coupled ensemble."""
         per_path = result.renormalized[:, :, eps_index]  # (n_paths, M)
         stats = tuple(MCStats.from_samples(per_path[:, m]) for m in range(per_path.shape[1]))
         partial = np.mean(np.cumsum(per_path * per_path, axis=1), axis=0)
-        return cls(epsilon=float(result.eps_list[eps_index]), k=int(result.k),
-                   coord_stats=stats, norm_sq_partial=partial)
+        return cls(coord_stats=stats, norm_sq_partial=partial)
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +347,12 @@ class OccupationField:
 
     The displacement xi is standard Gaussian; the covariance
     E rho1(u) rho1(v) = exp(-||u||^2 - ||v||^2) E[f(u - z) f(v - z)] is
-    estimated by Monte Carlo over a shared, seeded z-sample, so the oracle is
-    symmetric by construction and deterministic given the seed.
+    estimated by Monte Carlo over the shared, seeded draws of xi in ``_z``, so
+    the oracle is symmetric by construction and deterministic given the seed.
     """
 
     grid: np.ndarray
-    mc_samples: int
-    seed: int
-    _z: np.ndarray = field(default=None, repr=False)
+    _z: np.ndarray = field(repr=False)
 
     def _gram(self, points):
         """Monte Carlo Gram matrix E rho1(u) rho1(v) over the shared draws, for all pairs."""
@@ -366,11 +360,11 @@ class OccupationField:
         shifted = (pts[:, None, :] - self._z[None, :, :]).reshape(-1, 2)
         F = occupation_kernel(shifted).reshape(pts.shape[0], -1)  # f(p - z), per point p
         env = np.exp(-np.sum(pts * pts, axis=1))
-        return np.outer(env, env) * (F @ F.T) / self.mc_samples
+        return np.outer(env, env) * (F @ F.T) / len(self._z)
 
     @property
     def oracle(self) -> CovarianceOracle:
-        return CovarianceOracle(evaluator=self._gram, name="occupation-field")
+        return CovarianceOracle(evaluator=self._gram)
 
 
 def occupation_density_field(grid, mc_samples, seed) -> OccupationField:
@@ -386,4 +380,4 @@ def occupation_density_field(grid, mc_samples, seed) -> OccupationField:
         raise ValueError(f"mc_samples must be >= 100, got {mc_samples}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     z = rng.standard_normal((int(mc_samples), 2))
-    return OccupationField(grid=grid, mc_samples=int(mc_samples), seed=int(seed), _z=z)
+    return OccupationField(grid=grid, _z=z)

@@ -7,6 +7,7 @@ that law at feasible truncations.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,9 +292,9 @@ def test_criterion_11_determinism(tmp_path):
         output_path=str(tmp_path / "det"), workers=2,
     ).validate()
     run_experiment(cfg)
-    first = open(cfg.output_path + ".csv", "rb").read()
+    first = Path(cfg.output_path + ".csv").read_bytes()
     run_experiment(cfg)
-    second = open(cfg.output_path + ".csv", "rb").read()
+    second = Path(cfg.output_path + ".csv").read_bytes()
     assert first == second
 
     bc = ExperimentConfig(subcommand="brick-check", eps_list=(0.1,), n_paths=10,
@@ -301,9 +302,9 @@ def test_criterion_11_determinism(tmp_path):
                           weight_spec={"kind": "rare-spike", "n_levels": 10},
                           output_path=str(tmp_path / "det2")).validate()
     run_experiment(bc)
-    b1 = open(bc.output_path + ".csv", "rb").read()
+    b1 = Path(bc.output_path + ".csv").read_bytes()
     run_experiment(bc)
-    assert open(bc.output_path + ".csv", "rb").read() == b1
+    assert Path(bc.output_path + ".csv").read_bytes() == b1
     assert _verdict("11", True, "repeated runs produce byte-identical CSV output")
 
 

@@ -171,7 +171,7 @@ def test_isonormal_rejects_indefinite_oracle():
 
 def test_isonormal_oracle_route_matches_gram():
     _, sk = spike_skeleton()
-    oracle = CovarianceOracle(evaluator=lambda pts: pts @ pts.T, name="dot")
+    oracle = CovarianceOracle(evaluator=lambda pts: pts @ pts.T)
     sample = isonormal_sample(oracle.gram(sk.points), 500, seed=4)
     direct = isonormal_sample(sk.gram(), 500, seed=4)
     np.testing.assert_allclose(sample.draws, direct.draws, atol=1e-12)
@@ -228,11 +228,7 @@ def test_weight_coordinates_lie_in_sup_covering_brick():
     assert all(brick_contains(x, cover) for x in coords)
 
 
-def test_brick_sq_sum_is_the_square_sum_of_the_widths():
-    assert Brick(basis_label="e", eps_seq=np.array([3.0, 4.0])).sq_sum == 25.0
-
-
 def test_isonormal_sample_shape_validation():
     from silt import IsonormalSample
     with pytest.raises(ValueError):
-        IsonormalSample(draws=np.zeros((10, 2)), seed=0, gram=np.eye(3))
+        IsonormalSample(draws=np.zeros((10, 2)), gram=np.eye(3))

@@ -386,6 +386,29 @@ def test_main_reports_unparsable_weight_numbers(subcommand, weight, capsys):
     assert "k must be" in out  # collected with the other violations
 
 
+@pytest.mark.parametrize("k,weight", [("2", "const:1e200"), ("3", "const:1e300")])
+def test_main_fails_runs_whose_moments_overflow(k, weight, tmp_path, capsys):
+    # the moments reach inf and dev_stderr would read 0.0, a false match to the oracle
+    code = main(["--subcommand", "converge", "--k", k, "--weight", weight, "--eps", "0.1",
+                 "--paths", "4", "--steps", "64", "--workers", "1", "--out", str(tmp_path / "r")])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert out.startswith("error: converge run failed") and "not finite" in out
+    assert not os.listdir(tmp_path)
+
+
+def test_main_reads_config_files_as_json_bytes(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'{"subcommand": "converge", "seed": 1\xff}')
+    assert main(["--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().out.startswith("config error: configuration is not valid JSON")
+    cfg_path.write_text(json.dumps({"subcommand": "brick-check", "output_path": str(tmp_path / "u"),
+                                    "weight_spec": {"kind": "rare-spike", "n_levels": 5}}),
+                        encoding="utf-16")  # with a byte order mark
+    assert main(["--config", str(cfg_path)]) == 0
+    assert (tmp_path / "u.csv").exists()
+
+
 def test_pipeline_config_error_is_not_rewrapped(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -528,12 +551,15 @@ def test_hilbert_multiple_eps_levels(tmp_path):
     ({"weight_spec": {"kind": "constant", "value": 2.0, "map": "shear", "typo": 1}},
      "unknown weight_spec fields for constant: ['map', 'typo']"),
     ({"weight_spec": {"kind": ["constant"], "value": 1.0}}, "unknown weight kind ['constant']"),
+    # a directory, which would leave the hidden files out/.csv and out/.json
+    ({"output_path": "out/"}, "output_path must end in a file name, got 'out/'"),
 ], ids=["seed", "k", "n_paths", "workers-float", "eps_list", "k-with-jacobian",
         "image-check-k1", "map-list", "quad-nodes", "lemma-delta-k1", "lemma-delta-k4",
         "grid-origin", "grid-text", "eps_list-bool", "constant-value-bool", "grid-bool",
         "n_levels-float", "mc_samples-float", "k-inf", "constant-value-nan",
         "eps_list-text", "constant-value-text", "grid-text-numbers", "timings-text",
-        "timings-int", "occupation-field-typo", "constant-extra-fields", "kind-list"])
+        "timings-int", "occupation-field-typo", "constant-extra-fields", "kind-list",
+        "output-path-dir"])
 def test_main_reports_malformed_config_fields(fields, message, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"subcommand": "converge",

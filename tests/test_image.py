@@ -21,7 +21,7 @@ MAPS = builtin_maps()
 
 def _path(*pts):
     pts = np.array(pts, dtype=float)
-    return PlanarPath(n_steps=len(pts) - 1, points=pts, seed=0)
+    return PlanarPath(n_steps=len(pts) - 1, points=pts)
 
 
 def _kernel(y, eps):

@@ -80,7 +80,7 @@ def test_degenerate_path_counts_pairs():
     # all nodes at the origin: value = C(n,2) (1/n^2) / (2 pi eps)
     n, eps = 32, 0.7
     pts = np.zeros((n + 1, 2))
-    p = PlanarPath(n_steps=n, points=pts, seed=0)
+    p = PlanarPath(n_steps=n, points=pts)
     est = simplex_functional(p, UNIT, eps, 2)
     expected = (n * (n - 1) / 2) / n**2 / (2 * np.pi * eps)
     assert est.value == pytest.approx(expected, rel=1e-13)
@@ -95,7 +95,7 @@ def test_k1_is_unit_riemann_sum():
 
 def test_three_node_hand_computation():
     pts = np.array([[0.0, 0.0], [0.3, -0.4], [1.0, 0.5]])
-    p = PlanarPath(n_steps=2, points=pts, seed=0)
+    p = PlanarPath(n_steps=2, points=pts)
     # nodes {0, 1}: single ordered pair (0, 1), weight 1/4
     eps = 0.8
     d = pts[1] - pts[0]
@@ -536,10 +536,15 @@ def test_higher_levels_match_grid_exact_means(k, n, eps):
 
 def test_mcstats_invariants():
     stats = estimate_renormalized(500, 128, 0.2, 2, UNIT, seed=4)
-    assert stats.stderr == pytest.approx(np.sqrt(stats.variance / stats.n_paths), rel=1e-12)
+    assert stats.stderr == pytest.approx(np.sqrt(stats.variance / 500), rel=1e-12)
     assert stats.abs_moments[2] >= stats.mean**2
     with pytest.raises(ValueError):
         MCStats.from_samples([1.0])
+
+
+def test_mcstats_rejects_moments_that_overflow():
+    with pytest.raises(ValueError, match=r"moments of 2 samples are not finite .* 1e\+200"):
+        MCStats.from_samples([1e200, -1e200])
 
 
 def test_estimate_validation():
@@ -782,11 +787,11 @@ def test_cauchy_gap_is_the_hilbert_norm_over_all_coordinates():
 def test_simplex_estimate_validation():
     from silt import SimplexEstimate
     with pytest.raises(ValueError):
-        SimplexEstimate(value=np.inf, k=2, epsilon=0.1, n_steps=8)
+        SimplexEstimate(value=np.inf)
     with pytest.raises(ValueError):
-        SimplexEstimate(value=0.0, k=0, epsilon=0.1, n_steps=8)
+        simplex_functional(sample_path(8, seed=1), UNIT, 0.1, 0)
     with pytest.raises(ValueError):
-        SimplexEstimate(value=0.0, k=2, epsilon=0.0, n_steps=8)
+        simplex_functional(sample_path(8, seed=1), UNIT, 0.0, 2)
 
 
 def test_simplex_levels_validation():
@@ -810,13 +815,12 @@ def test_dynkin_epsilon_validation():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_eps_rejected_by_every_route(bad):
-    from silt import SimplexEstimate
     with pytest.raises(ValueError, match="finite and > 0"):
         dynkin_renormalize([1.0, 2.0], bad)
     with pytest.raises(ValueError, match="finite and > 0"):
         double_mean(bad)
     with pytest.raises(ValueError, match="finite and > 0"):
-        SimplexEstimate(value=0.0, k=2, epsilon=bad, n_steps=8)
+        simplex_functional(sample_path(8, seed=1), UNIT, bad, 2)
     pts = sample_path_points(8, 1, [0])
     with pytest.raises(ValueError, match="finite and > 0"):
         simplex_levels(pts, np.ones((1, 1, 8)), [0.1, bad], 2)
