@@ -14,8 +14,8 @@ from .path_sim import PlanarPath, sample_path, sample_path_points
 from .slt_core import (RENORM_DOUBLE_LIMIT, CauchyRow, EnsembleConfig,
                        EnsembleResult, MCStats, SimplexEstimate,
                        cauchy_diagnostic, double_mean, dynkin_renormalize,
-                       ensemble_renormalized, estimate_renormalized,
-                       renorm_double_mean, simplex_functional, simplex_levels)
+                       ensemble_renormalized, renorm_double_mean,
+                       simplex_functional, simplex_levels)
 from .weights import (CovarianceOracle, HilbertSltResult, HilbertWeight,
                       OccupationField, RadialParameterMap, ScalarWeight,
                       SupProfile, coordinate_sup_profile, jacobian_weight,

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .exceptions import ConfigError
 from .slt_core import EnsembleConfig, _one_blas_thread, ensemble_renormalized, renorm_double_mean
-from .path_sim import sample_path
+from .path_sim import PlanarPath, sample_path_points
 from .weights import (HilbertSltResult, RadialParameterMap, ScalarWeight,
                       coordinate_sup_profile, jacobian_weight, occupation_density_field,
                       rare_spike_weight, spike_grid)
@@ -32,9 +32,9 @@ from .image import builtin_maps, bump_function, delta_family_check, image_slt
 SUBCOMMANDS = ("converge", "hilbert", "brick-check", "image-check", "lemma-delta")
 #: each weight kind and the ``weight_spec`` fields it reads besides ``kind``
 WEIGHT_KINDS = {"constant": ("value",), "jacobian": ("map",), "rare-spike": ("n_levels",),
-                "occupation": ("mc_samples", "grid")}
+                "occupation": ("mc_samples",)}
 
-_DEFAULT_OCCUPATION_GRID = ((0.5, 0.0), (0.0, 0.7), (-0.6, 0.2), (0.3, -0.5), (-0.2, -0.4))
+_OCCUPATION_GRID = ((0.5, 0.0), (0.0, 0.7), (-0.6, 0.2), (0.3, -0.5), (-0.2, -0.4))
 _DELTA_POINT = (0.3, -0.1)
 _DELTA_RADIUS = 1.5
 
@@ -53,7 +53,6 @@ class ExperimentConfig:
     output_path: str = "silt_results"
     workers: int | None = None
     dtype: str = "float32"
-    quad_nodes: int = 41
     timings: bool = False
 
     def validate(self):
@@ -64,7 +63,7 @@ class ExperimentConfig:
         given = vars(self)
         ints = {}
         optional = ("workers",) if self.workers is not None else ()  # null: one per CPU
-        for name in ("k", "n_paths", "n_steps", "seed", "quad_nodes") + optional:
+        for name in ("k", "n_paths", "n_steps", "seed") + optional:
             value = _spec_number(given, name, int)
             if value is None:
                 problems.append(f"{name} must be an integer, got {given[name]!r}")
@@ -90,8 +89,6 @@ class ExperimentConfig:
             problems.append(f"n_paths must be >= 2, got {self.n_paths}")
         if ints.get("n_steps", 1) < 1:
             problems.append(f"n_steps must be >= 1, got {self.n_steps}")
-        if ints.get("quad_nodes", 1) < 1:
-            problems.append(f"quad_nodes must be >= 1, got {self.quad_nodes}")
         if not (0 <= ints.get("seed", 0) < 2**64):
             problems.append("seed must be an unsigned 64-bit integer")
         if not isinstance(self.timings, bool):
@@ -138,8 +135,6 @@ class ExperimentConfig:
         if kind == "occupation" and (_spec_number(spec, "mc_samples", int) or 0) < 100:
             problems.append(f"occupation weight needs an integer mc_samples >= 100, "
                             f"got {spec.get('mc_samples')!r}")
-        if kind == "occupation" and "grid" in spec:
-            problems += _grid_problems(spec["grid"])
         allowed = {
             "converge": ("constant", "jacobian"),
             "hilbert": ("rare-spike",),
@@ -178,19 +173,6 @@ def _spec_number(spec, key, kind):
     if kind is int and (number != value or isinstance(value, float)):
         return None
     return number
-
-
-def _grid_problems(grid):
-    """Problems with an occupation ``grid``: a list of finite planar points off the origin."""
-    try:
-        pts = np.atleast_2d(np.asarray(grid, dtype=float))
-    except (TypeError, ValueError):
-        pts = np.empty((0, 0))
-    if _non_numeric(grid) or pts.ndim != 2 or pts.shape[1] != 2 or not np.all(np.isfinite(pts)):
-        return [f"occupation grid must be a list of finite planar points, got {grid!r}"]
-    if np.any(np.all(pts == 0.0, axis=1)):
-        return ["occupation grid must exclude the origin, where the kernel diverges"]
-    return []
 
 
 def parse_config(text: str | bytes) -> ExperimentConfig:
@@ -346,9 +328,8 @@ def _brick_check_spike(cfg):
 
 
 def _brick_check_occupation(cfg):
-    spec = cfg.weight_spec
-    grid = np.asarray(spec.get("grid", _DEFAULT_OCCUPATION_GRID), dtype=float)
-    field_ = occupation_density_field(grid, int(spec["mc_samples"]), cfg.seed)
+    field_ = occupation_density_field(_OCCUPATION_GRID, int(cfg.weight_spec["mc_samples"]),
+                                      cfg.seed)
     sample = isonormal_sample(field_.oracle.gram(field_.grid), cfg.n_paths, cfg.seed + 1)
     G = sample.gram
     dudley = dudley_estimate(canonical_metric(G))
@@ -361,9 +342,10 @@ def _run_image_check(cfg):
     # the renormalized image functional is the Jacobian-weighted one
     rows, _ = _run_converge(cfg)
     F = builtin_maps()[cfg.weight_spec["map"]]
-    residuals = [image_slt(sample_path(min(cfg.n_steps, 512), cfg.seed, stream=i),
-                           F, cfg.eps_list[-1], cfg.k).residual
-                 for i in range(16)]
+    n = min(cfg.n_steps, 512)
+    residuals = [image_slt(PlanarPath(n_steps=n, points=points), F, cfg.eps_list[-1],
+                           cfg.k).residual
+                 for points in sample_path_points(n, cfg.seed, range(16))]
     rows.append(_row(cfg, mean=float(np.max(residuals))))
     return rows, {"max_residual": float(np.max(residuals))}
 
@@ -371,8 +353,7 @@ def _run_image_check(cfg):
 def _run_lemma_delta(cfg):
     F = builtin_maps()[cfg.weight_spec["map"]]
     phi = bump_function(center=_DELTA_POINT, radius=_DELTA_RADIUS)
-    table = delta_family_check(phi, np.asarray(_DELTA_POINT), F, cfg.eps_list,
-                               k=cfg.k, n_nodes=cfg.quad_nodes)
+    table = delta_family_check(phi, np.asarray(_DELTA_POINT), F, cfg.eps_list, k=cfg.k)
     rows = [_row(cfg, epsilon=r.epsilon, mean=r.value, oracle=r.target) for r in table]
     return rows, {"table": table}
 
@@ -390,21 +371,18 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Dispatch a validated config, write the CSV table and JSON sidecar.
 
     Identical configs yield byte-identical files (timings are opt-in and
-    excluded by default precisely to keep that contract).  A ConfigError
-    raised by a pipeline propagates unchanged; any other failure is re-raised
-    as a RuntimeError naming the subcommand and scales.  A grid too coarse for
-    the smallest scale warns once per call, from the one ensemble that
-    ``converge``, ``hilbert`` and ``image-check`` sweep.  The pipeline runs
-    with OpenBLAS on one thread (restored afterwards): a second BLAS thread
-    only doubled the CPU time of the diagnostics' matrix products.
+    excluded by default precisely to keep that contract).  A failure in the
+    pipeline is re-raised as a RuntimeError naming the subcommand and scales.
+    A grid too coarse for the smallest scale warns once per call, from the one
+    ensemble that ``converge``, ``hilbert`` and ``image-check`` sweep.  The
+    pipeline runs with OpenBLAS on one thread (restored afterwards): a second
+    BLAS thread only doubled the CPU time of the diagnostics' matrix products.
     """
     cfg.validate()
     t0 = time.perf_counter()
     try:
         with _one_blas_thread():
             rows, extras = _PIPELINES[cfg.subcommand](cfg)
-    except ConfigError:
-        raise
     except Exception as exc:
         raise RuntimeError(
             f"{cfg.subcommand} run failed (eps_list={list(cfg.eps_list)}): {exc}"

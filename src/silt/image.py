@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError
 from .path_sim import PlanarPath
 from .slt_core import _as_weight_rows, _scales, simplex_levels
 from .weights import jacobian_weight
@@ -209,7 +208,7 @@ def delta_family_check(phi, v_k, F: Diffeomorphism, epsilon_levels, k=2, n_nodes
     each kernel factor is a Gaussian of scale sqrt(eps); tensor Gauss-Hermite
     nodes adapted to that scale evaluate it.  The Gaussian mass outside the
     node radius must stay below 1e-8 (per factor), else the node count is
-    rejected as a configuration error.
+    rejected with a ValueError.
 
     At k = 2 the integrand is evaluated at n_nodes^2 points per scale.  At
     k = 3 the outer point is u2 = c + s (x_a, y_b) and the inner point
@@ -230,7 +229,7 @@ def delta_family_check(phi, v_k, F: Diffeomorphism, epsilon_levels, k=2, n_nodes
     x_max = float(np.max(np.abs(nodes)))
     mass_out = math.exp(-x_max * x_max)  # exact planar Gaussian tail at the node radius
     if mass_out > 1e-8:
-        raise ConfigError(
+        raise ValueError(
             f"truncation radius too small: {n_nodes} nodes leave Gaussian mass "
             f"{mass_out:.2e} outside (tolerance 1.0e-08); increase n_nodes"
         )

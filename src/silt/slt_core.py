@@ -110,15 +110,19 @@ class MCStats:
 
     @classmethod
     def from_samples(cls, values):
-        """Stats of ``values``; ValueError for under 2 samples or a moment that is not finite."""
+        """Stats of ``values``; ValueError for under 2 samples or a moment that is not finite.
+
+        Equal values get variance 0: ``var`` reads the ulp their mean rounds off them as spread.
+        """
         values = np.asarray(values, dtype=float)
         n = values.size
         if n < 2:
             raise ValueError(f"need at least 2 samples for a variance, got {n}")
-        mean = float(values.mean())
-        variance = float(values.var(ddof=1))
-        a = np.abs(values)
-        moments = {1: float(a.mean()), 2: float((a * a).mean()), 4: float((a**4).mean())}
+        with np.errstate(over="ignore"):  # an overflow fails the finite check below
+            mean = float(values.mean())
+            variance = float(values.var(ddof=1)) if np.ptp(values) != 0 else 0.0
+            a = np.abs(values)
+            moments = {1: float(a.mean()), 2: float((a * a).mean()), 4: float((a**4).mean())}
         if not np.isfinite([mean, variance, *moments.values()]).all():
             raise ValueError(f"moments of {n} samples are not finite (largest |value| "
                              f"{a.max():g})")
@@ -544,20 +548,6 @@ def ensemble_renormalized(cfg: EnsembleConfig, eps_list, k, rho) -> EnsembleResu
     for e, epsilon in enumerate(eps):
         renorm[:, :, e] = dynkin_renormalize(levels[:, :, e, :], epsilon, k)
     return EnsembleResult(levels=levels, renormalized=renorm)
-
-
-def estimate_renormalized(n_paths, n_steps, epsilon, k, rho, seed,
-                          workers=None, dtype="float32") -> MCStats:
-    """Monte Carlo estimate of the renormalized k-fold functional for weight rho.
-
-    Runs the per-path pipeline (sample path -> level sums l = 1..k ->
-    renormalize) over ``n_paths`` independent substreams of ``seed`` and
-    aggregates mean, variance, stderr and absolute moments p in {1, 2, 4}.
-    """
-    cfg = EnsembleConfig(n_paths=n_paths, n_steps=n_steps, seed=seed,
-                         workers=workers, dtype=dtype)
-    result = ensemble_renormalized(cfg, [epsilon], k, rho)
-    return result.stats()
 
 
 @dataclass(frozen=True)

@@ -115,10 +115,10 @@ class ScalarWeight(HilbertWeight):
         return self.coordinate_values(pts)[0]
 
     @staticmethod
-    def constant(c, name=None):
+    def constant(c):
         value = float(c)
         return ScalarWeight(evaluator=lambda pts: np.full(np.asarray(pts).shape[0], value),
-                            sup_norm=abs(value), name=name or f"const({c:g})")
+                            sup_norm=abs(value), name=f"const({c:g})")
 
 
 @dataclass(frozen=True)
@@ -329,7 +329,7 @@ def occupation_kernel(points) -> np.ndarray:
 
     f(u) = integral over t in (0, 1] of the centered Gaussian density of scale
     t at u, which the substitution s = |u|^2 / (2t) turns into the closed form
-    E1(|u|^2 / 2) / (2 pi), vectorized over points (E1 by ``_exp1``, within
+    E1(|u|^2 / 2) / (2 pi), one value per row of ``points`` (E1 by ``_exp1``, within
     3e-15 relative for |u| up to about 37; the value underflows to 0 near
     |u| = 38).  Diverges logarithmically at the origin, which is rejected.
     """
@@ -337,8 +337,7 @@ def occupation_kernel(points) -> np.ndarray:
     r2 = np.sum(pts * pts, axis=-1)
     if np.any(r2 == 0.0):
         raise ValueError("occupation kernel is +inf at the origin; exclude it")
-    out = _exp1(0.5 * r2) / (2.0 * math.pi)
-    return out if np.asarray(points).ndim > 1 else float(out[0])
+    return _exp1(0.5 * r2) / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)

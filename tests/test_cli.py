@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from silt import (ConfigError, EnsembleConfig, ExperimentConfig, ResultRow, parse_config,
-                  run_experiment)
+from silt import (ConfigError, EnsembleConfig, ExperimentConfig, ResultRow, builtin_maps,
+                  image_slt, parse_config, run_experiment, sample_path)
 from silt.cli import CSV_COLUMNS, build_parser, _flags_config, main, _parse_weight_flag
 
 
@@ -122,7 +122,7 @@ def test_main_rejects_worker_flags_below_one(workers, tmp_path, capsys):
         EnsembleConfig(n_paths=4, n_steps=8, seed=1, workers=int(workers))
 
 
-@pytest.mark.parametrize("name", ["k", "n_paths", "n_steps", "seed", "quad_nodes", "workers"])
+@pytest.mark.parametrize("name", ["k", "n_paths", "n_steps", "seed", "workers"])
 def test_main_rejects_json_booleans_for_integer_fields(name, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"subcommand": "converge", "eps_list": [0.2], "n_paths": 4,
@@ -159,7 +159,7 @@ def test_converge_rows_carry_oracle_deviation(tmp_path):
 ], ids=["converge", "hilbert", "brick-spike", "brick-occupation", "image-check", "lemma-delta"])
 def test_every_row_names_its_run(subcommand, spec, tmp_path):
     cfg = ExperimentConfig(subcommand=subcommand, k=3, eps_list=(0.2, 0.1), n_paths=6,
-                           n_steps=16, seed=41, weight_spec=spec, quad_nodes=21,
+                           n_steps=16, seed=41, weight_spec=spec,
                            output_path=str(tmp_path / "run")).validate()
     result = run_experiment(cfg)
     with open(result.csv_path, newline="") as fh:
@@ -290,6 +290,37 @@ def test_image_check_rows(tmp_path):
     assert result.extras["max_residual"] <= 1e-10
 
 
+def test_image_check_samples_its_residual_paths_in_one_call(tmp_path, monkeypatch):
+    import silt.cli as cli
+
+    calls, original = [], cli.sample_path_points
+
+    def spy(n_steps, seed, streams):
+        calls.append(list(streams))
+        return original(n_steps, seed, calls[-1])
+
+    monkeypatch.setattr(cli, "sample_path_points", spy)
+    cfg = ExperimentConfig(subcommand="image-check", k=2, eps_list=(0.2,), n_paths=8,
+                           n_steps=32, seed=7, weight_spec={"kind": "jacobian", "map": "swirl"},
+                           output_path=str(tmp_path / "ic")).validate()
+    result = run_experiment(cfg)
+    assert calls == [list(range(16))]
+    F = builtin_maps()["swirl"]
+    expected = max(image_slt(sample_path(32, 7, stream=i), F, 0.2, 2).residual for i in range(16))
+    assert result.extras["max_residual"] == expected
+
+
+@pytest.mark.parametrize("value", ["0.1", "0.3"])
+def test_exact_constant_run_reports_no_deviation(value, tmp_path):
+    out = str(tmp_path / "const")
+    assert main(["--subcommand", "converge", "--k", "1", "--weight", f"const:{value}",
+                 "--paths", "1000", "--steps", "640", "--eps", "0.1", "--seed", "7",
+                 "--out", out]) == 0
+    with open(out + ".csv", newline="") as fh:
+        [row] = csv.DictReader(fh)
+    assert (row["stderr"], row["oracle"], row["dev_stderr"]) == ("0.0", value, "")
+
+
 def test_lemma_delta_rows(tmp_path):
     cfg = ExperimentConfig(subcommand="lemma-delta", k=2, eps_list=(0.1, 0.01),
                            n_paths=2, n_steps=1, seed=7,
@@ -409,19 +440,6 @@ def test_main_reads_config_files_as_json_bytes(tmp_path, capsys):
     assert (tmp_path / "u.csv").exists()
 
 
-def test_pipeline_config_error_is_not_rewrapped(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({
-        "subcommand": "lemma-delta", "eps_list": [0.1], "n_paths": 2, "n_steps": 1,
-        "quad_nodes": 5, "weight_spec": {"kind": "jacobian", "map": "shear"},
-        "output_path": str(tmp_path / "ld"),
-    }))
-    with pytest.raises(ConfigError, match="truncation radius too small"):
-        run_experiment(parse_config(cfg_path.read_text()))
-    assert main(["--config", str(cfg_path)]) == 2
-    assert "config error: truncation radius too small" in capsys.readouterr().out
-
-
 @pytest.mark.parametrize("failure", ["output", "pipeline"])
 def test_main_reports_run_failures_on_one_line(failure, tmp_path, monkeypatch, capsys):
     import silt.cli as cli_mod
@@ -509,22 +527,17 @@ def test_hilbert_multiple_eps_levels(tmp_path):
      "jacobian weight needs k >= 2"),
     ({"weight_spec": {"kind": "jacobian", "map": ["swirl"]}}, "jacobian weight needs a builtin"),
     ({"subcommand": "lemma-delta", "quad_nodes": 0, "weight_spec": {"kind": "jacobian", "map": "shear"}},
-     "quad_nodes must be >= 1"),
+     "unknown config fields: ['quad_nodes']"),
     ({"subcommand": "lemma-delta", "k": 1, "weight_spec": {"kind": "jacobian", "map": "shear"}},
      "lemma-delta supports k = 2 or 3"),
     ({"subcommand": "lemma-delta", "k": 4, "weight_spec": {"kind": "jacobian", "map": "shear"}},
      "lemma-delta supports k = 2 or 3"),
     ({"subcommand": "brick-check",
       "weight_spec": {"kind": "occupation", "mc_samples": 150, "grid": [[0, 0], [1, 0]]}},
-     "occupation grid must exclude the origin"),
-    ({"subcommand": "brick-check", "weight_spec": {"kind": "occupation", "mc_samples": 150, "grid": "abc"}},
-     "occupation grid must be a list of finite planar points"),
+     "unknown weight_spec fields for occupation: ['grid']"),
     # JSON booleans, which Python would read as 0 and 1
     ({"eps_list": [True]}, "eps_list must be a list of numbers"),
     ({"weight_spec": {"kind": "constant", "value": True}}, "constant weight needs a numeric 'value'"),
-    ({"subcommand": "brick-check",
-      "weight_spec": {"kind": "occupation", "mc_samples": 150, "grid": [[True, False], [0.5, 0.0]]}},
-     "occupation grid must be a list of finite planar points"),
     # fractional counts, which int() would truncate, and values int() cannot convert
     ({"subcommand": "hilbert", "weight_spec": {"kind": "rare-spike", "n_levels": 5.9}},
      "rare-spike weight needs an integer n_levels >= 2, got 5.9"),
@@ -537,10 +550,6 @@ def test_hilbert_multiple_eps_levels(tmp_path):
     ({"eps_list": ["0.2", "0.1"]}, "eps_list must be a list of numbers"),
     ({"weight_spec": {"kind": "constant", "value": "2"}},
      "constant weight needs a numeric 'value' that is finite, got '2'"),
-    ({"subcommand": "brick-check",
-      "weight_spec": {"kind": "occupation", "mc_samples": 150,
-                      "grid": [["0.5", "0.1"], ["0", "0.7"]]}},
-     "occupation grid must be a list of finite planar points"),
     # a text or integer timings, which would still fill in wall times
     ({"timings": "false"}, "timings must be true or false, got 'false'"),
     ({"timings": 1}, "timings must be true or false, got 1"),
@@ -555,9 +564,9 @@ def test_hilbert_multiple_eps_levels(tmp_path):
     ({"output_path": "out/"}, "output_path must end in a file name, got 'out/'"),
 ], ids=["seed", "k", "n_paths", "workers-float", "eps_list", "k-with-jacobian",
         "image-check-k1", "map-list", "quad-nodes", "lemma-delta-k1", "lemma-delta-k4",
-        "grid-origin", "grid-text", "eps_list-bool", "constant-value-bool", "grid-bool",
+        "grid-origin", "eps_list-bool", "constant-value-bool",
         "n_levels-float", "mc_samples-float", "k-inf", "constant-value-nan",
-        "eps_list-text", "constant-value-text", "grid-text-numbers", "timings-text",
+        "eps_list-text", "constant-value-text", "timings-text",
         "timings-int", "occupation-field-typo", "constant-extra-fields", "kind-list",
         "output-path-dir"])
 def test_main_reports_malformed_config_fields(fields, message, tmp_path, capsys):

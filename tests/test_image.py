@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from silt import (ConfigError, Diffeomorphism, EnsembleConfig, PlanarPath,
+from silt import (Diffeomorphism, EnsembleConfig, PlanarPath,
                   ScalarWeight, SingularityError, affine_map, builtin_maps, bump_function,
-                  delta_family_check, estimate_renormalized, image_slt,
+                  delta_family_check, ensemble_renormalized, image_slt,
                   jacobian_weight, perturbation_map, sample_path,
                   simplex_functional)
 
@@ -143,8 +143,9 @@ def test_perturbation_alpha_validation():
 # ---------------------------------------------------------------------------
 
 def test_renorm_image_identity_equals_unit_weight():
-    stats = estimate_renormalized(30, 64, 0.2, 2, jacobian_weight(MAPS["identity"], 2), seed=50)
-    base = estimate_renormalized(30, 64, 0.2, 2, ScalarWeight.constant(1.0), seed=50)
+    cfg = EnsembleConfig(n_paths=30, n_steps=64, seed=50)
+    stats = ensemble_renormalized(cfg, [0.2], 2, jacobian_weight(MAPS["identity"], 2)).stats()
+    base = ensemble_renormalized(cfg, [0.2], 2, ScalarWeight.constant(1.0)).stats()
     assert stats.mean == base.mean
     assert stats.variance == base.variance
 
@@ -152,7 +153,8 @@ def test_renorm_image_identity_equals_unit_weight():
 def test_renorm_image_scaling_matches_quarter_oracle():
     from silt import renorm_double_mean
 
-    stats = estimate_renormalized(1500, 512, 0.1, 2, jacobian_weight(MAPS["scale2"], 2), seed=51)
+    cfg = EnsembleConfig(n_paths=1500, n_steps=512, seed=51)
+    stats = ensemble_renormalized(cfg, [0.1], 2, jacobian_weight(MAPS["scale2"], 2)).stats()
     oracle = 0.25 * renorm_double_mean(0.1)
     assert abs(stats.mean - oracle) <= 3 * stats.stderr
 
@@ -391,7 +393,7 @@ def test_delta_nan_phi_raises(k):
 
 
 def test_delta_truncation_config_error():
-    with pytest.raises(ConfigError, match="truncation"):
+    with pytest.raises(ValueError, match="truncation"):
         delta_family_check(constant_phi(1.0), V, MAPS["identity"], [0.1], n_nodes=5)
 
 

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -21,8 +22,7 @@ import silt
 import silt.slt_core as slt_core
 from silt import (EnsembleConfig, PlanarPath, RadialParameterMap, ScalarWeight,
                   cauchy_diagnostic, double_mean, dynkin_renormalize,
-                  ensemble_renormalized, estimate_renormalized,
-                  rare_spike_weight, renorm_double_mean, sample_path,
+                  ensemble_renormalized, rare_spike_weight, renorm_double_mean, sample_path,
                   sample_path_points, simplex_functional, simplex_levels)
 from silt.slt_core import RENORM_DOUBLE_LIMIT, STRIP_ROWS, MCStats
 
@@ -455,7 +455,8 @@ def test_closed_form_validation():
 # ---------------------------------------------------------------------------
 
 def test_zero_weight_statistics_exact():
-    stats = estimate_renormalized(50, 64, 0.2, 2, ZERO, seed=1)
+    stats = ensemble_renormalized(EnsembleConfig(n_paths=50, n_steps=64, seed=1),
+                                  [0.2], 2, ZERO).stats()
     assert stats.mean == 0.0
     assert stats.variance == 0.0
     assert stats.abs_moments == {1: 0.0, 2: 0.0, 4: 0.0}
@@ -464,11 +465,12 @@ def test_zero_weight_statistics_exact():
 def test_estimate_matches_oracle_two_seeds():
     oracle = renorm_double_mean(0.1)
     for seed in (123, 124):
-        stats = estimate_renormalized(2000, 1024, 0.1, 2, UNIT, seed=seed)
+        cfg = EnsembleConfig(n_paths=2000, n_steps=1024, seed=seed)
+        stats = ensemble_renormalized(cfg, [0.1], 2, UNIT).stats()
         assert stats.mean < 0  # the renormalized double functional has negative mean
         assert abs(stats.mean - oracle) <= 3 * stats.stderr
-    a = estimate_renormalized(200, 256, 0.1, 2, UNIT, seed=123)
-    b = estimate_renormalized(200, 256, 0.1, 2, UNIT, seed=124)
+    a, b = (ensemble_renormalized(EnsembleConfig(n_paths=200, n_steps=256, seed=seed),
+                                  [0.1], 2, UNIT).stats() for seed in (123, 124))
     assert a.mean != b.mean
 
 
@@ -476,7 +478,8 @@ def test_estimate_matches_exact_lattice_mean():
     # the discrete estimator's exact mean separates Monte Carlo error from
     # discretization bias
     n = 512
-    stats = estimate_renormalized(3000, n, 0.1, 2, UNIT, seed=55)
+    stats = ensemble_renormalized(EnsembleConfig(n_paths=3000, n_steps=n, seed=55),
+                                  [0.1], 2, UNIT).stats()
     lattice = lattice_mean_double(n, 0.1) + np.log(0.1) / (2 * np.pi)
     assert abs(stats.mean - lattice) <= 3 * stats.stderr
 
@@ -535,7 +538,8 @@ def test_higher_levels_match_grid_exact_means(k, n, eps):
 
 
 def test_mcstats_invariants():
-    stats = estimate_renormalized(500, 128, 0.2, 2, UNIT, seed=4)
+    stats = ensemble_renormalized(EnsembleConfig(n_paths=500, n_steps=128, seed=4),
+                                  [0.2], 2, UNIT).stats()
     assert stats.stderr == pytest.approx(np.sqrt(stats.variance / 500), rel=1e-12)
     assert stats.abs_moments[2] >= stats.mean**2
     with pytest.raises(ValueError):
@@ -543,13 +547,24 @@ def test_mcstats_invariants():
 
 
 def test_mcstats_rejects_moments_that_overflow():
-    with pytest.raises(ValueError, match=r"moments of 2 samples are not finite .* 1e\+200"):
-        MCStats.from_samples([1e200, -1e200])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=r"moments of 2 samples are not finite .* 1e\+200"):
+            MCStats.from_samples([1e200, -1e200])
+    assert caught == []  # no numpy overflow warning ahead of the error
+
+
+def test_mcstats_equal_samples_have_zero_variance():
+    values = np.full(1000, 0.1)
+    assert values.var(ddof=1) > 0  # the rounded mean is off by an ulp
+    stats = MCStats.from_samples(values)
+    assert stats.variance == 0.0 and stats.stderr == 0.0
 
 
 def test_estimate_validation():
     with pytest.raises(ValueError):
-        estimate_renormalized(1, 64, 0.2, 2, UNIT, seed=1)
+        ensemble_renormalized(EnsembleConfig(n_paths=1, n_steps=64, seed=1),
+                              [0.2], 2, UNIT).stats()
 
 
 @mock.patch.object(slt_core, "BATCH_PATHS", 16)

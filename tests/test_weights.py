@@ -10,7 +10,7 @@ import silt
 from silt import (EnsembleConfig, HilbertSltResult, HilbertWeight,
                   RadialParameterMap, ScalarWeight,
                   SingularityError, coordinate_sup_profile, ensemble_renormalized,
-                  estimate_renormalized, jacobian_weight, occupation_density_field,
+                  jacobian_weight, occupation_density_field,
                   occupation_kernel, rare_spike_weight,
                   sample_path_points, spike_gram, spike_grid)
 from silt.image import affine_map, builtin_maps
@@ -242,7 +242,7 @@ def test_hilbert_unit_first_coordinate_reduces_to_scalar():
     res = HilbertSltResult.from_ensemble(ensemble_renormalized(cfg, [0.2], 2, w), 0)
     unit = ScalarWeight.constant(1.0)
     assert np.array_equal(unit.values(np.zeros((3, 2))), np.ones(3))
-    scalar = estimate_renormalized(40, 64, 0.2, 2, unit, seed=21)
+    scalar = ensemble_renormalized(cfg, [0.2], 2, unit).stats()
     assert res.coord_stats[0].mean == pytest.approx(scalar.mean, rel=1e-13)
     for m in (1, 2):
         assert res.coord_stats[m].mean == 0.0
