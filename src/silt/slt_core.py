@@ -364,18 +364,25 @@ def dynkin_renormalize(t_values, epsilon, k=None):
 # ensemble runner
 # ---------------------------------------------------------------------------
 
-#: Paths per batch of ``ensemble_renormalized``, the unit of work of a worker thread.
+#: Most paths per batch of ``ensemble_renormalized``, the unit of work of a worker thread.
 BATCH_PATHS = 32
+
+#: Bytes a batch's points and weight rows may take, 8 * n_steps * (M + 4) per path
+#: of M weight coordinates: two coordinate rows of sampled points, two of the flat
+#: copy in ``_as_weight_rows`` and the M weight rows.  ``ensemble_renormalized``
+#: halves ``BATCH_PATHS`` until a batch fits or holds one path, so a batch of
+#: the default cap stays a power of two, at most 32.
+BATCH_BYTES = 6 << 20
 
 
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Shape of a Monte Carlo ensemble run.
 
-    ``workers`` is the number of threads that sweep batches of
-    ``BATCH_PATHS`` paths in this process (None: the CPU count); it never
-    affects numeric output (paths are keyed by index and reduced in fixed
-    order).
+    ``workers`` is the number of threads that sweep batches of paths in this
+    process (None: the CPU count), each batch at most ``BATCH_PATHS`` paths
+    and halved to fit ``BATCH_BYTES``; neither affects numeric output (paths
+    are keyed by index and reduced in fixed order).
     ``dtype`` ("float32" or "float64") is the precision of the sweep's kernel
     values and of their sums over a strip's 32 rows; exponents are formed in
     float64 and cast to it.  On grids with n >= 10 / eps, level sums at both
@@ -500,13 +507,15 @@ def ensemble_renormalized(cfg: EnsembleConfig, eps_list, k, rho) -> EnsembleResu
 
     Every path is evaluated at all scales (and all Hilbert coordinates of
     ``rho``, when it has them) on shared kernel sweeps, so cross-scale and
-    cross-coordinate differences are coupled estimates.  Batches of
-    ``BATCH_PATHS`` paths run on ``cfg.workers`` threads of this process (by
-    default one per CPU), which overlap in the compiled sweep: its ctypes call
-    releases the GIL.  Deterministic given the config seed, independently of
-    workers and batch size.  A batch that raises (or an interrupt) cancels the
-    batches not yet started, and the error reaches the caller once the running
-    ones have finished.  Raises ValueError naming the first path whose level
+    cross-coordinate differences are coupled estimates.  Batches run on
+    ``cfg.workers`` threads of this process (by default one per CPU), which
+    overlap in the compiled sweep: its ctypes call releases the GIL.  A batch
+    holds ``BATCH_PATHS`` paths, halved while its points and weight rows
+    would exceed ``BATCH_BYTES``, so a worker's memory stays bounded on fine
+    grids and with many weight coordinates.  Deterministic given the config
+    seed, independently of workers and batch size.  A batch that raises (or
+    an interrupt) cancels the batches not yet started, and the error reaches
+    the caller once the running ones have finished.  Raises ValueError naming the first path whose level
     sums are not finite.
     """
     eps = _scales(eps_list)
@@ -515,7 +524,10 @@ def ensemble_renormalized(cfg: EnsembleConfig, eps_list, k, rho) -> EnsembleResu
     check_resolution(cfg.n_steps, eps)
     dtype = np.float32 if cfg.dtype == "float32" else np.float64
 
-    ranges = [(lo, min(lo + BATCH_PATHS, cfg.n_paths)) for lo in range(0, cfg.n_paths, BATCH_PATHS)]
+    size, path_bytes = BATCH_PATHS, 8 * cfg.n_steps * (rho.n_coords + 4)
+    while size > 1 and size * path_bytes > BATCH_BYTES:
+        size //= 2
+    ranges = [(lo, min(lo + size, cfg.n_paths)) for lo in range(0, cfg.n_paths, size)]
 
     failed = threading.Event()
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from silt import sample_path, sample_path_points
+from silt.path_sim import _jump_counter
 
 
 def test_start_point_and_shape():
@@ -22,10 +23,24 @@ def test_reproducibility_bit_identical():
 
 def test_streams_differ_and_batch_matches_single():
     batch = sample_path_points(64, seed=5, streams=range(4))
+    assert np.array_equal(sample_path_points(64, seed=5, streams=np.arange(4)), batch)
     for i in range(4):
         single = sample_path(64, seed=5, stream=i)
         assert np.array_equal(batch[i], single.points)
     assert not np.array_equal(batch[0], batch[1])
+
+
+@pytest.mark.parametrize("stream", [-1, 0, 1, 2**63, 2**64 - 1, 2**64 + 3, 2**127 + 11,
+                                    2**128 + 5])
+def test_stream_counter_is_the_jumped_state(stream):
+    # the seed contract defines path i by Philox(key=seed).jumped(i)
+    jumped = np.random.Philox(key=5).jumped(stream)
+    built = np.random.Philox(key=5, counter=_jump_counter(stream))
+    for name in ("counter", "key"):
+        assert np.array_equal(jumped.state["state"][name], built.state["state"][name])
+    steps = np.random.Generator(jumped).standard_normal((16, 2)) * np.sqrt(1 / 16)
+    points = sample_path_points(16, seed=5, streams=[stream])[0]
+    assert np.array_equal(points[1:], np.cumsum(steps, axis=0))
 
 
 def test_terminal_norm_and_coordinate_means():

@@ -48,6 +48,25 @@ def test_every_workload_passes_the_benchmark_output_checks(workload, tmp_path):
         assert workloads.check_result(label, silt.run_experiment(cfg)) == []
 
 
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_every_ensemble_splits_evenly_over_two_workers(workload, tmp_path, monkeypatch):
+    # the benchmark runs two workers; an odd batch count would leave one the extra batch
+    batches, sample = [], silt.slt_core.sample_path_points
+
+    def spy(n, seed, streams):
+        batches.append(streams)
+        return sample(n, seed, streams)
+
+    monkeypatch.setattr(silt.slt_core, "sample_path_points", spy)
+    counts = {}
+    for label, cfg in workloads.build_op(workload, 1, 2, str(tmp_path)):
+        batches.clear()
+        silt.run_experiment(cfg)
+        counts[label] = len(batches)
+    assert any(counts.values())  # every workload sweeps at least one ensemble
+    assert all(count % 2 == 0 for count in counts.values()), counts
+
+
 def test_span_tracer_installs_and_uninstalls():
     spans = _load("spans")
     originals = (silt.slt_core.simplex_levels, silt.image.image_slt,

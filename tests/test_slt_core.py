@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -578,6 +579,37 @@ def test_workers_do_not_change_output():
     assert np.array_equal(serial.levels, parallel.levels)
 
 
+@pytest.mark.parametrize("n_steps, rho, size", [
+    (1024, rare_spike_weight(30).compose(RadialParameterMap(t_max=30.0)), 16),
+    (4096, UNIT, 32)])
+def test_batches_are_sized_by_the_byte_budget(n_steps, rho, size, monkeypatch):
+    # 32 paths of 30 weight rows at n = 1024 take 8.9 MB, over the 6 MiB budget
+    ranges, sample = [], slt_core.sample_path_points
+
+    def spy(n, seed, streams):
+        ranges.append(streams)
+        return sample(n, seed, streams)
+
+    monkeypatch.setattr(slt_core, "sample_path_points", spy)
+    ensemble_renormalized(EnsembleConfig(n_paths=64, n_steps=n_steps, seed=1, workers=2),
+                          [0.1], 1, rho)
+    assert sorted(ranges, key=lambda r: r.start) == [range(lo, lo + size)
+                                                     for lo in range(0, 64, size)]
+
+
+@mock.patch.object(slt_core, "BATCH_BYTES", 1 << 20)
+def test_batch_memory_stays_within_the_budget():
+    # one path at a time: 8 whole paths at n = 2**14 peaked at 5.7 MiB
+    cfg = EnsembleConfig(n_paths=8, n_steps=2**14, seed=1, workers=1)
+    tracemalloc.start()
+    try:
+        ensemble_renormalized(cfg, [0.01], 2, UNIT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @mock.patch.object(slt_core, "BATCH_PATHS", 2)
 def test_sweep_runs_on_one_blas_thread_and_restores(workers, monkeypatch):
@@ -717,10 +749,12 @@ def test_nonfinite_weight_names_first_bad_path():
 
 @settings(max_examples=15, deadline=None)
 @given(n_paths=st.integers(2, 40), n=st.integers(1, 48), k=st.integers(1, 3),
-       batch_size=st.integers(1, 48), workers=st.sampled_from([1, 2]))
-def test_batch_size_does_not_change_output(n_paths, n, k, batch_size, workers):
+       batch_size=st.integers(1, 48), batch_bytes=st.integers(0, 50_000),
+       workers=st.sampled_from([1, 2]))
+def test_batch_size_does_not_change_output(n_paths, n, k, batch_size, batch_bytes, workers):
     kw = dict(eps_list=[0.2, 0.1], k=k, rho=UNIT)
-    with mock.patch.object(slt_core, "BATCH_PATHS", batch_size):
+    with mock.patch.object(slt_core, "BATCH_PATHS", batch_size), \
+            mock.patch.object(slt_core, "BATCH_BYTES", batch_bytes):
         a = ensemble_renormalized(EnsembleConfig(n_paths=n_paths, n_steps=n, seed=9,
                                                  workers=workers), **kw)
     with mock.patch.object(slt_core, "BATCH_PATHS", n_paths):

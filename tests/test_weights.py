@@ -232,6 +232,14 @@ def test_radial_parameter_map():
     np.testing.assert_allclose(m(np.array([[30.0, 40.0]])), [10.0])
 
 
+def test_radial_parameter_map_is_the_norm_bit_for_bit():
+    rng = np.random.default_rng(3)
+    pts = rng.choice([-1.0, 1.0], (4000, 2)) * 10.0 ** rng.uniform(-300, 150, (4000, 2))
+    norms = np.linalg.norm(pts, axis=-1)
+    assert np.array_equal(RadialParameterMap(t_max=np.inf)(pts), 1.0 + norms)
+    assert np.array_equal(RadialParameterMap(t_max=50.0)(pts), np.minimum(1.0 + norms, 50.0))
+
+
 # ---------------------------------------------------------------------------
 # coupled Hilbert-valued estimation
 # ---------------------------------------------------------------------------
