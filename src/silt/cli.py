@@ -10,7 +10,6 @@ they are the one quantity that cannot be reproducible.
 
 import argparse
 import csv
-import io
 import json
 import os
 import time
@@ -29,10 +28,10 @@ from .brick import (FiniteCompact, brick_contains, canonical_metric,
                     covering_brick, dudley_estimate, isonormal_sample)
 from .image import builtin_maps, bump_function, delta_family_check, image_slt
 
-SUBCOMMANDS = ("converge", "hilbert", "brick-check", "image-check", "lemma-delta")
-#: each weight kind and the ``weight_spec`` fields it reads besides ``kind``
-WEIGHT_KINDS = {"constant": ("value",), "jacobian": ("map",), "rare-spike": ("n_levels",),
-                "occupation": ("mc_samples",)}
+#: each weight kind: the one ``weight_spec`` field it reads besides ``kind``, and that
+#: field's value when ``--weight`` gives none
+WEIGHT_KINDS = {"constant": ("value", 1.0), "jacobian": ("map", "identity"),
+                "rare-spike": ("n_levels", 30), "occupation": ("mc_samples", 2000)}
 
 _OCCUPATION_GRID = ((0.5, 0.0), (0.0, 0.7), (-0.6, 0.2), (0.3, -0.5), (-0.2, -0.4))
 _DELTA_POINT = (0.3, -0.1)
@@ -62,19 +61,15 @@ class ExperimentConfig:
             problems.append(f"unknown subcommand {self.subcommand!r}")
         given = vars(self)
         ints = {}
-        optional = ("workers",) if self.workers is not None else ()  # null: one per CPU
-        for name in ("k", "n_paths", "n_steps", "seed") + optional:
-            value = _spec_number(given, name, int)
+        optional = (("workers", 1),) if self.workers is not None else ()  # null: one per CPU
+        for name, least in (("k", 1), ("n_paths", 2), ("n_steps", 1), ("seed", None)) + optional:
+            value = ints[name] = _spec_number(given, name, int)
             if value is None:
                 problems.append(f"{name} must be an integer, got {given[name]!r}")
-            else:
-                ints[name] = value
-        if ints.get("workers", 1) < 1:
-            problems.append(f"workers must be >= 1, got {self.workers}")
-        if ints.get("k", 1) < 1:
-            problems.append(f"k must be >= 1, got {self.k}")
-        elif self.subcommand == "lemma-delta" and ints.get("k", 2) not in (2, 3):
-            problems.append("lemma-delta supports k = 2 or 3")
+            elif least is not None and value < least:
+                problems.append(f"{name} must be >= {least}, got {given[name]}")
+            elif name == "k" and self.subcommand == "lemma-delta" and value not in (2, 3):
+                problems.append("lemma-delta supports k = 2 or 3")
         entries = self.eps_list if isinstance(self.eps_list, (list, tuple)) else (None,)
         eps = tuple(_spec_number(entries, i, float) for i in range(len(entries)))
         if len(eps) == 0:
@@ -85,11 +80,7 @@ class ExperimentConfig:
             problems.append(f"eps_list entries must be finite and > 0, got {list(eps)}")
         elif any(b >= a for a, b in zip(eps, eps[1:])):
             problems.append("eps_list not strictly decreasing")
-        if ints.get("n_paths", 2) < 2:
-            problems.append(f"n_paths must be >= 2, got {self.n_paths}")
-        if ints.get("n_steps", 1) < 1:
-            problems.append(f"n_steps must be >= 1, got {self.n_steps}")
-        if not (0 <= ints.get("seed", 0) < 2**64):
+        if not 0 <= (ints["seed"] or 0) < 2**64:
             problems.append("seed must be an unsigned 64-bit integer")
         if not isinstance(self.timings, bool):
             problems.append(f"timings must be true or false, got {self.timings!r}")
@@ -104,7 +95,7 @@ class ExperimentConfig:
         if not isinstance(self.weight_spec, dict):
             problems.append(f"weight_spec must be an object, got {self.weight_spec!r}")
         elif self.subcommand in SUBCOMMANDS:
-            problems += self._validate_weight(ints.get("k"))
+            problems += self._validate_weight(ints["k"])
         if problems:
             raise ConfigError(problems)
         return self
@@ -116,7 +107,7 @@ class ExperimentConfig:
         kind = spec.get("kind")
         if not isinstance(kind, str) or kind not in WEIGHT_KINDS:
             return [f"unknown weight kind {kind!r}"]
-        unknown = sorted(set(spec) - {"kind", *WEIGHT_KINDS[kind]}, key=str)
+        unknown = sorted(set(spec) - {"kind", WEIGHT_KINDS[kind][0]}, key=str)
         if unknown:
             problems.append(f"unknown weight_spec fields for {kind}: {unknown}")
         value = _spec_number(spec, "value", float)
@@ -135,14 +126,8 @@ class ExperimentConfig:
         if kind == "occupation" and (_spec_number(spec, "mc_samples", int) or 0) < 100:
             problems.append(f"occupation weight needs an integer mc_samples >= 100, "
                             f"got {spec.get('mc_samples')!r}")
-        allowed = {
-            "converge": ("constant", "jacobian"),
-            "hilbert": ("rare-spike",),
-            "brick-check": ("rare-spike", "occupation"),
-            "image-check": ("jacobian",),
-            "lemma-delta": ("jacobian",),
-        }.get(self.subcommand)
-        if allowed and kind not in allowed:
+        allowed = tuple(weight for sub, weight in _PIPELINES if sub == self.subcommand)
+        if kind not in allowed:
             problems.append(f"subcommand {self.subcommand!r} supports weight kinds "
                             f"{allowed}, got {kind!r}")
         return problems
@@ -152,22 +137,13 @@ class ExperimentConfig:
                               seed=self.seed, workers=self.workers, dtype=self.dtype)
 
 
-def _non_numeric(value):
-    """Whether ``value`` is, or is a list or tuple that holds at any depth, a boolean or a string.
-
-    Python reads a JSON ``true`` as 1 and float() reads the JSON string "2" as 2.0.
-    """
-    if isinstance(value, (list, tuple)):
-        return any(_non_numeric(v) for v in value)
-    return isinstance(value, (bool, np.bool_, str))
-
-
 def _spec_number(spec, key, kind):
     """``kind(spec[key])``, or None when the entry is missing, a boolean, a string or
     does not convert; an ``int`` entry must already be an integer (5.9 and 2.0 give None)."""
     try:
         value = spec[key]
-        number = None if _non_numeric(value) else kind(value)
+        # Python reads a JSON ``true`` as 1 and float() reads the JSON string "2" as 2.0
+        number = None if isinstance(value, (bool, np.bool_, str)) else kind(value)
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
     if kind is int and (number != value or isinstance(value, float)):
@@ -298,12 +274,6 @@ def _run_hilbert(cfg):
     return rows, {"results": summaries}
 
 
-def _run_brick_check(cfg):
-    if cfg.weight_spec["kind"] == "rare-spike":
-        return _brick_check_spike(cfg)
-    return _brick_check_occupation(cfg)
-
-
 def _brick_check_spike(cfg):
     n_levels = int(cfg.weight_spec["n_levels"])
     weight = rare_spike_weight(n_levels)
@@ -358,13 +328,17 @@ def _run_lemma_delta(cfg):
     return rows, {"table": table}
 
 
+#: the pipeline of each subcommand and weight kind it takes
 _PIPELINES = {
-    "converge": _run_converge,
-    "hilbert": _run_hilbert,
-    "brick-check": _run_brick_check,
-    "image-check": _run_image_check,
-    "lemma-delta": _run_lemma_delta,
+    ("converge", "constant"): _run_converge,
+    ("converge", "jacobian"): _run_converge,
+    ("hilbert", "rare-spike"): _run_hilbert,
+    ("brick-check", "rare-spike"): _brick_check_spike,
+    ("brick-check", "occupation"): _brick_check_occupation,
+    ("image-check", "jacobian"): _run_image_check,
+    ("lemma-delta", "jacobian"): _run_lemma_delta,
 }
+SUBCOMMANDS = tuple(dict.fromkeys(sub for sub, _ in _PIPELINES))
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
@@ -382,7 +356,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     t0 = time.perf_counter()
     try:
         with _one_blas_thread():
-            rows, extras = _PIPELINES[cfg.subcommand](cfg)
+            rows, extras = _PIPELINES[cfg.subcommand, cfg.weight_spec["kind"]](cfg)
     except Exception as exc:
         raise RuntimeError(
             f"{cfg.subcommand} run failed (eps_list={list(cfg.eps_list)}): {exc}"
@@ -394,13 +368,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     csv_path = cfg.output_path + ".csv"
     sidecar_path = cfg.output_path + ".json"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(row.as_csv_fields())
     with open(csv_path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(row.as_csv_fields() for row in rows)
 
     sidecar = {"config": asdict(cfg), "version": __version__}
     if cfg.timings:
@@ -428,21 +399,19 @@ def _flag_number(arg, kind, default):
 
 
 def _parse_weight_flag(text):
-    kind, _, arg = text.partition(":")
-    if kind == "const":
-        return {"kind": "constant", "value": _flag_number(arg, float, 1.0)}
-    if kind in ("jac", "jacobian"):
-        return {"kind": "jacobian", "map": arg or "identity"}
-    if kind == "rare-spike":
-        return {"kind": "rare-spike", "n_levels": _flag_number(arg, int, 30)}
-    if kind == "occupation":
-        return {"kind": "occupation", "mc_samples": _flag_number(arg, int, 2000)}
-    raise ConfigError([f"cannot parse weight spec {text!r}; use const:C, jacobian:MAP, "
-                       "rare-spike:N or occupation:SAMPLES"])
+    prefix, _, arg = text.partition(":")
+    kind = {"const": "constant", "jac": "jacobian", "jacobian": "jacobian",
+            "rare-spike": "rare-spike", "occupation": "occupation"}.get(prefix)
+    if kind is None:
+        raise ConfigError([f"cannot parse weight spec {text!r}; use const:C, jacobian:MAP, "
+                           "rare-spike:N or occupation:SAMPLES"])
+    name, default = WEIGHT_KINDS[kind]
+    return {"kind": kind, name: _flag_number(arg, type(default), default)}
 
 
 def build_parser():
-    """Flag parser; a flag that is not given stays out of the namespace, so every
+    """Flag parser of names only: values stay text, which ``_flags_config`` converts and
+    ``validate`` checks, and a flag that is not given stays out of the namespace, so every
     default comes from ``ExperimentConfig``."""
     parser = argparse.ArgumentParser(
         prog="silt",
@@ -450,22 +419,20 @@ def build_parser():
                     "for planar Brownian motion.",
         argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--subcommand", choices=SUBCOMMANDS)
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--eps", type=float, nargs="+", dest="eps_list",
-                        help="decreasing kernel scales")
-    parser.add_argument("--paths", type=int, dest="n_paths")
-    parser.add_argument("--steps", type=int, dest="n_steps")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--weight", type=str, dest="weight_spec",
+    parser.add_argument("--subcommand", help=" | ".join(SUBCOMMANDS))
+    parser.add_argument("--k")
+    parser.add_argument("--eps", nargs="+", dest="eps_list", help="decreasing kernel scales")
+    parser.add_argument("--paths", dest="n_paths")
+    parser.add_argument("--steps", dest="n_steps")
+    parser.add_argument("--seed")
+    parser.add_argument("--weight", dest="weight_spec",
                         help="const:C | jacobian:MAP | rare-spike:N | occupation:SAMPLES")
-    parser.add_argument("--out", type=str, dest="output_path")
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--dtype", choices=("float32", "float64"))
+    parser.add_argument("--out", dest="output_path")
+    parser.add_argument("--workers")
+    parser.add_argument("--dtype", help="float32 | float64")
     parser.add_argument("--timings", action="store_true",
                         help="record wall times (breaks byte-identical reruns)")
-    parser.add_argument("--config", type=str,
-                        help="JSON config file; overrides all flags")
+    parser.add_argument("--config", help="JSON config file; overrides all flags")
     return parser
 
 
@@ -474,8 +441,11 @@ def _flags_config(flags: dict) -> ExperimentConfig:
     flags = dict(flags)
     if "subcommand" not in flags:
         raise ConfigError(["--subcommand is required (or use --config)"])
+    for name in ("k", "n_paths", "n_steps", "seed", "workers"):
+        if name in flags:
+            flags[name] = _flag_number(flags[name], int, flags[name])
     if "eps_list" in flags:
-        flags["eps_list"] = tuple(flags["eps_list"])
+        flags["eps_list"] = tuple(_flag_number(text, float, text) for text in flags["eps_list"])
     if "weight_spec" in flags:
         flags["weight_spec"] = _parse_weight_flag(flags["weight_spec"])
     return ExperimentConfig(**flags)

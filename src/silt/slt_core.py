@@ -282,7 +282,9 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
     is skipped or approximated, and each scale's levels are bit for bit those
     of a sweep at that scale alone.  A NaN in the points or weights reaches
     the levels it touches.  Raises ValueError for a path of fewer than two
-    nodes (n = 0) and RuntimeError when the kernel could not be built.
+    nodes (n = 0) or a scale at which -1/(2 eps) or a level's factor
+    (1/n)^l / (2 pi eps)^(l-1) is not a finite nonzero float, and RuntimeError
+    when the kernel could not be built.
 
     Returns
     -------
@@ -311,17 +313,24 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
     if k == 1:
         return out
 
+    with np.errstate(all="ignore"):  # a factor out of float range is reported below
+        cneg = -0.5 / eps
+        factors = np.array([(1.0 / n) ** l / (TWO_PI * eps) ** (l - 1) for l in range(2, k + 1)])
+    bad = np.argwhere(~(np.isfinite(cneg) & np.isfinite(factors) & (factors != 0)))
+    if bad.size:
+        raise ValueError(f"level {bad[0, 0] + 2} at eps={float(eps[bad[0, 1]])!r} is out of "
+                         f"float range: -1/(2 eps) or (1/n)^l / (2 pi eps)^(l-1) at n={n} is "
+                         "not a finite nonzero number")
     if isinstance(_SWEEP, RuntimeError):
         raise RuntimeError(*_SWEEP.args)
-    sweep, points, cneg = _SWEEP[np.dtype(dtype)], np.ascontiguousarray(points), -0.5 / eps
+    sweep, points = _SWEEP[np.dtype(dtype)], np.ascontiguousarray(points)
     kernel_values = np.zeros(E, dtype=np.int64)  # per scale, summed over the batch
     X = np.empty((E * (k - 1), n))  # one path's chain sums: a batch's would weigh on memory
     for b in range(B):
         if sweep(n, E, k, points[b], cneg, X, kernel_values) != 0:
             raise MemoryError("no scratch memory for the kernel sweep")
         out[b, :, :, 1:] = np.einsum("mj,qj->mq", rho_rows[b, :, ::-1], X).reshape(M, E, k - 1)
-    for level in range(2, k + 1):
-        out[:, :, :, level - 1] *= (1.0 / n) ** level / (TWO_PI * eps) ** (level - 1)
+    out[:, :, :, 1:] *= factors.T
     return out
 
 
@@ -522,7 +531,6 @@ def ensemble_renormalized(cfg: EnsembleConfig, eps_list, k, rho) -> EnsembleResu
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     check_resolution(cfg.n_steps, eps)
-    dtype = np.float32 if cfg.dtype == "float32" else np.float64
 
     size, path_bytes = BATCH_PATHS, 8 * cfg.n_steps * (rho.n_coords + 4)
     while size > 1 and size * path_bytes > BATCH_BYTES:
@@ -536,18 +544,16 @@ def ensemble_renormalized(cfg: EnsembleConfig, eps_list, k, rho) -> EnsembleResu
             return None
         try:
             pts = sample_path_points(cfg.n_steps, cfg.seed, range(*path_range))
-            return simplex_levels(pts, _as_weight_rows(rho, pts), eps, k, dtype=dtype)
+            return simplex_levels(pts, _as_weight_rows(rho, pts), eps, k, dtype=cfg.dtype)
         except BaseException:
             failed.set()  # a thread takes its next batch before the caller can cancel it
             raise
 
-    levels = None
+    levels = np.empty((cfg.n_paths, rho.n_coords, len(eps), k))
     with _one_blas_thread():
         pool = ThreadPoolExecutor(max_workers=cfg.workers or os.cpu_count() or 1)
         try:
             for (lo, hi), block in zip(ranges, pool.map(batch, ranges)):
-                if levels is None:
-                    levels = np.empty((cfg.n_paths, *block.shape[1:]))
                 levels[lo:hi] = block
         finally:
             pool.shutdown(cancel_futures=True)

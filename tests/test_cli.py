@@ -13,7 +13,8 @@ import pytest
 
 from silt import (ConfigError, EnsembleConfig, ExperimentConfig, ResultRow, builtin_maps,
                   image_slt, parse_config, run_experiment, sample_path)
-from silt.cli import CSV_COLUMNS, build_parser, _flags_config, main, _parse_weight_flag
+from silt.cli import (CSV_COLUMNS, SUBCOMMANDS, WEIGHT_KINDS, _PIPELINES, build_parser,
+                      _flags_config, main, _parse_weight_flag)
 
 
 def small_converge(tmp_path, name="run", **over):
@@ -120,6 +121,41 @@ def test_main_rejects_worker_flags_below_one(workers, tmp_path, capsys):
     assert "k must be" in out  # collected with the other violations
     with pytest.raises(ValueError, match="workers must be >= 1"):
         EnsembleConfig(n_paths=4, n_steps=8, seed=1, workers=int(workers))
+
+
+def test_main_collects_bad_flag_values_as_config_errors(tmp_path, capsys):
+    code = main(["--subcommand", "converge", "--k", "x", "--paths", "1e4", "--dtype", "float16",
+                 "--eps", "0.1", "abc", "--out", str(tmp_path / "f")])
+    assert code == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "config error: k must be an integer, got 'x'",
+        "config error: n_paths must be an integer, got '1e4'",
+        "config error: eps_list must be a list of numbers, got (0.1, 'abc')",
+        "config error: dtype must be float32 or float64, got 'float16'",
+    ]
+    assert not os.listdir(tmp_path)
+
+
+def test_main_reports_an_unknown_subcommand_flag(tmp_path, capsys):
+    assert main(["--subcommand", "foo", "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().out == "config error: unknown subcommand 'foo'\n"
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+@pytest.mark.parametrize("kind", sorted(WEIGHT_KINDS))
+def test_each_pipeline_pair_runs_and_every_other_pair_is_refused(subcommand, kind, tmp_path):
+    weight = {"constant": {"value": 1.0}, "jacobian": {"map": "shear"},
+              "rare-spike": {"n_levels": 4}, "occupation": {"mc_samples": 100}}[kind]
+    cfg = ExperimentConfig(subcommand=subcommand, eps_list=(0.2,), n_paths=4, n_steps=16,
+                           weight_spec={"kind": kind, **weight}, output_path=str(tmp_path / "p"))
+    if (subcommand, kind) in _PIPELINES:
+        assert run_experiment(cfg.validate()).rows
+    else:
+        with pytest.raises(ConfigError) as refused:
+            cfg.validate()
+        assert refused.value.violations == [
+            f"subcommand {subcommand!r} supports weight kinds "
+            f"{tuple(w for s, w in _PIPELINES if s == subcommand)}, got {kind!r}"]
 
 
 @pytest.mark.parametrize("name", ["k", "n_paths", "n_steps", "seed", "workers"])
@@ -347,7 +383,7 @@ def test_upstream_errors_carry_context(tmp_path, monkeypatch):
     def explode(_cfg):
         raise ValueError("inner failure")
 
-    monkeypatch.setitem(cli_mod._PIPELINES, "converge", explode)
+    monkeypatch.setitem(cli_mod._PIPELINES, ("converge", "constant"), explode)
     with pytest.raises(RuntimeError, match=r"converge run failed \(eps_list=\[0\.2, 0\.1\]\)"):
         run_experiment(cfg)
 
@@ -440,6 +476,17 @@ def test_main_reads_config_files_as_json_bytes(tmp_path, capsys):
     assert (tmp_path / "u.csv").exists()
 
 
+def test_main_fails_scales_whose_normalisation_overflows(tmp_path, capsys):
+    with pytest.warns(RuntimeWarning, match="under-resolve"):
+        code = main(["--subcommand", "converge", "--eps", "1e-320", "--paths", "2",
+                     "--steps", "4", "--out", str(tmp_path / "r")])
+    assert code == 1
+    [line] = capsys.readouterr().out.splitlines()
+    assert line.startswith("error: converge run failed")
+    assert "level 2 at eps=1e-320 is out of float range" in line
+    assert not os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize("failure", ["output", "pipeline"])
 def test_main_reports_run_failures_on_one_line(failure, tmp_path, monkeypatch, capsys):
     import silt.cli as cli_mod
@@ -451,7 +498,7 @@ def test_main_reports_run_failures_on_one_line(failure, tmp_path, monkeypatch, c
         def explode(_cfg):
             raise ValueError("inner failure")
 
-        monkeypatch.setitem(cli_mod._PIPELINES, "brick-check", explode)
+        monkeypatch.setitem(cli_mod._PIPELINES, ("brick-check", "rare-spike"), explode)
     assert main(["--subcommand", "brick-check", "--weight", "rare-spike:5", "--out", out]) == 1
     printed = capsys.readouterr().out
     assert printed.startswith("error: ") and printed.count("\n") == 1
@@ -480,7 +527,7 @@ def test_main_rejects_missing_output_directory_before_running(tmp_path, monkeypa
     import silt.cli as cli_mod
 
     runs = []
-    monkeypatch.setitem(cli_mod._PIPELINES, "converge", runs.append)
+    monkeypatch.setitem(cli_mod._PIPELINES, ("converge", "constant"), runs.append)
     out = tmp_path / "no-such-dir" / "x"
     assert main(["--subcommand", "converge", "--eps", "0.2", "--paths", "4",
                  "--steps", "32", "--out", str(out)]) == 2

@@ -857,6 +857,14 @@ def test_simplex_levels_validation():
         simplex_levels(np.zeros((1, 1, 2)), np.ones((1, 1, 0)), [0.1], 2)
 
 
+@pytest.mark.parametrize("eps,k,level", [(1e-320, 2, 2), (1e-160, 3, 3), (1e-30, 12, 12)])
+def test_simplex_levels_refuses_level_factors_out_of_float_range(eps, k, level):
+    # the factor (1/n)^l / (2 pi eps)^(l-1) overflows on 4 steps, and 1e-320 overflows -1/(2 eps)
+    pts = sample_path_points(4, 1, [0])
+    with pytest.raises(ValueError, match=f"level {level} at eps={eps!r} is out of float range"):
+        simplex_levels(pts, np.ones((1, 1, 4)), [0.1, eps], k)
+
+
 def test_dynkin_epsilon_validation():
     with pytest.raises(ValueError):
         dynkin_renormalize([1.0, 2.0], 0.0)
