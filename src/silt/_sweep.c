@@ -15,6 +15,18 @@
  * of a strip goes first, level by level, since level l+1 reads level l at the
  * strip's own rows; the columns beyond it take every level in one pass.
  *
+ * Scales at an integer ratio share their exps.  Taken in descending eps, a
+ * scale is derived from the direct scale b with the smallest integer
+ * r = eps_b / eps (to 1e-12 relative) that has r >= 2 and (k - 1) r <=
+ * POWER_BUDGET; every other scale is direct and takes the exp above.  A
+ * derived scale takes each kernel value, head squares included, as
+ * max(K_b, t_r)^r, from the base's value K_b of the same pair and t_r =
+ * exp(floor / r) rounded up, by a fixed chain of at most three products: no
+ * product is subnormal, a pair below the floor gets about exp(floor), and a
+ * NaN stays NaN.  The power multiplies the rounding of the base's exp by r,
+ * and the budget keeps float32 levels within 1e-7 of float64 at every k (see
+ * README); float64 derived levels lie within 1e-15 of direct ones.
+ *
  * Column blocks of STRIP nodes, aligned like the strips, are skipped scale by
  * scale: at scale eps a block is skipped for a strip when the exponent
  * formed, as above, from the squared distance between the two blocks'
@@ -22,10 +34,12 @@
  * from below, so a skipped block drops only floor values exp(floor) (3.2e-38
  * in float32, 6.0e-308 in float64), which lie below the sums' rounding.  A
  * box that holds a NaN or infinite coordinate is never skipped, so a NaN
- * reaches every level it touches.  Distances are formed once per row over
- * the blocks live at any scale, and a tile dead at every scale is passed
- * over.  No scale's arithmetic or skipping depends on another's, so each
- * scale's levels are bit for bit those of a sweep at that scale alone.
+ * reaches every level it touches.  A derived scale's exponent factor is r
+ * times its base's, so its live blocks are among its base's, whose values
+ * the same row has just formed.  Distances are formed once per row over the
+ * blocks live at any scale, and a tile dead at every scale is passed over.
+ * A direct scale's arithmetic and skipping depend on no other scale, so its
+ * levels are bit for bit those of a sweep at that scale alone.
  *
  * This file is its own template: the part below #else is compiled once for
  * float and once for double.  Build flags must keep IEEE semantics (no
@@ -52,6 +66,8 @@ double exp(double);
 #if TILE % STRIP || TILE / STRIP > 32 /* a tile's live blocks are the bits of an unsigned */
 #error "TILE must hold at most 32 blocks of STRIP columns"
 #endif
+/* largest (k - 1) r of a scale derived at power r; r then lies in 2..6 */
+#define POWER_BUDGET 6
 #define CAT_(a, b) a##_##b
 #define CAT(a, b) CAT_(a, b)
 
@@ -96,16 +112,60 @@ static void box_distances(const double *box, ptrdiff_t nb, ptrdiff_t s, ptrdiff_
     }
 }
 
+/* The plan of one sweep, from the exponent factors cneg of the E scales (eps
+ * descending is cneg descending).  pw[e] is 1 for a direct scale and r for one
+ * derived at power r (see the top of this file); order lists each direct scale,
+ * in descending eps, followed at once by the scales derived from it.  Ties in
+ * cneg, which give equal values, keep the listed order; no level depends on it.
+ * base and sorted are scratch of E entries. */
+static void plan_scales(ptrdiff_t E, ptrdiff_t k, const double *cneg, ptrdiff_t *order,
+                        ptrdiff_t *pw, ptrdiff_t *base, ptrdiff_t *sorted)
+{
+    for (ptrdiff_t e = 0; e < E; e++) { /* insertion sort: E^2 is small against E n^2 */
+        ptrdiff_t q = e;
+        for (; q > 0 && cneg[sorted[q - 1]] < cneg[e]; q--)
+            sorted[q] = sorted[q - 1];
+        sorted[q] = e;
+    }
+    for (ptrdiff_t q = 0; q < E; q++) {
+        ptrdiff_t e = sorted[q];
+        base[e] = -1;
+        pw[e] = 1;
+        for (ptrdiff_t p = 0; p < q; p++) { /* the scales of larger or equal eps */
+            ptrdiff_t b = sorted[p];
+            double ratio = cneg[e] / cneg[b]; /* eps_b / eps_e, >= 1 */
+            ptrdiff_t r = ratio < POWER_BUDGET + 1 ? (ptrdiff_t)(ratio + 0.5) : 0;
+            if (base[b] < 0 && r >= 2 && (k - 1) * r <= POWER_BUDGET
+                && fabs(ratio - r) <= 1e-12 * ratio && (base[e] < 0 || r < pw[e])) {
+                base[e] = b;
+                pw[e] = r;
+            }
+        }
+    }
+    ptrdiff_t m = 0;
+    for (ptrdiff_t q = 0; q < E; q++) {
+        if (base[sorted[q]] >= 0)
+            continue;
+        order[m++] = sorted[q];
+        for (ptrdiff_t p = q + 1; p < E; p++)
+            if (base[sorted[p]] == sorted[q])
+                order[m++] = sorted[p];
+    }
+}
+
 #define REAL float
 #define EXP expf
+#define NEXT nextafterf
 #define TINY FLT_MIN
 #include __FILE__
 #undef REAL
 #undef EXP
+#undef NEXT
 #undef TINY
 
 #define REAL double
 #define EXP exp
+#define NEXT nextafter
 #define TINY DBL_MIN
 #include __FILE__
 
@@ -128,6 +188,22 @@ static void FN(kernel_row)(const double *restrict d2, double c, REAL floor_, ptr
         kv[j] = EXP(kv[j]);
 }
 
+/* A derived scale's kernel values max(kb[j], t)^r, r in 2..6, from its base's
+ * kb[0..len): into out, or, when add is set, added to out times x0.  Of the
+ * factors v^4, v^2 and v, those whose bit of r is clear are 1, so that v^r
+ * takes at most three rounded products and one loop serves every r.  Out of
+ * line, as derived_span below. */
+static __attribute__((noinline)) void FN(power_row)(const REAL *restrict kb, REAL t, int r,
+                                                    ptrdiff_t len, REAL x0, int add,
+                                                    REAL *restrict out)
+{
+    for (ptrdiff_t j = 0; j < len; j++) {
+        REAL v = kb[j] < t ? t : kb[j], v2 = v * v;
+        REAL p = (r & 4 ? v2 * v2 : 1) * (r & 2 ? v2 : 1) * (r & 1 ? v : 1);
+        out[j] = add ? out[j] + x0 * p : p;
+    }
+}
+
 /* squared distances from node (xi, yi) to the nodes xs[0..len), ys[0..len) */
 static void FN(distances)(double xi, double yi, const double *restrict xs,
                           const double *restrict ys, ptrdiff_t len, double *restrict d2)
@@ -138,25 +214,30 @@ static void FN(distances)(double xi, double yi, const double *restrict xs,
     }
 }
 
-/* One strip [i0, i1) at scale c.  X holds levels 2..k at stride n; xr receives
- * the strip rows' values of levels 1..k-1 in REAL, at stride STRIP. */
-static void FN(head_square)(const double *xs, const double *ys, ptrdiff_t n, ptrdiff_t k,
-                            ptrdiff_t i0, ptrdiff_t i1, double c, REAL floor_, double *X,
-                            REAL *xr)
+/* Kernel values head[i][j], i < j < m, at scale c among the m rows of the strip
+ * that starts at node i0. */
+static void FN(head_values)(const double *xs, const double *ys, ptrdiff_t i0, ptrdiff_t m,
+                            double c, REAL floor_, REAL head[][STRIP])
 {
-    REAL head[STRIP][STRIP];
     double d2[STRIP];
-    ptrdiff_t r = i1 - i0;
-    for (ptrdiff_t i = 0; i + 1 < r; i++) {
-        FN(distances)(xs[i0 + i], ys[i0 + i], xs + i0 + i + 1, ys + i0 + i + 1, r - i - 1, d2);
-        FN(kernel_row)(d2, c, floor_, r - i - 1, head[i] + i + 1);
+    for (ptrdiff_t i = 0; i + 1 < m; i++) {
+        FN(distances)(xs[i0 + i], ys[i0 + i], xs + i0 + i + 1, ys + i0 + i + 1, m - i - 1, d2);
+        FN(kernel_row)(d2, c, floor_, m - i - 1, head[i] + i + 1);
     }
+}
+
+/* One strip [i0, i0 + m) against itself, from its head values.  X holds levels
+ * 2..k at stride n; xr receives the strip rows' values of levels 1..k-1 in
+ * REAL, at stride STRIP. */
+static void FN(head_levels)(REAL head[][STRIP], ptrdiff_t n, ptrdiff_t k, ptrdiff_t i0,
+                            ptrdiff_t m, double *X, REAL *xr)
+{
     for (ptrdiff_t l = 0; l + 1 < k; l++) { /* level l + 2 from level l + 1 */
         REAL *x = xr + l * STRIP;
         double *next = X + l * n + i0;
-        for (ptrdiff_t i = 0; i < r; i++)
+        for (ptrdiff_t i = 0; i < m; i++)
             x[i] = l == 0 ? (REAL)1 : (REAL)X[(l - 1) * n + i0 + i];
-        for (ptrdiff_t j = 1; j < r; j++) {
+        for (ptrdiff_t j = 1; j < m; j++) {
             REAL s = 0;
             for (ptrdiff_t i = 0; i < j; i++)
                 s += x[i] * head[i][j];
@@ -165,18 +246,42 @@ static void FN(head_square)(const double *xs, const double *ys, ptrdiff_t n, ptr
     }
 }
 
-/* Row i's share of a tile's level sums at scale c over the columns [j0, j1):
- * d2 holds the row's squared distances to the tile's columns, x its levels
- * 1..k-1 at stride STRIP, acc the tile's sums at stride TILE. */
-static inline void FN(row_span)(const double *d2, double c, REAL floor_, ptrdiff_t j0,
-                                ptrdiff_t j1, ptrdiff_t L, const REAL *x, REAL *acc, REAL *kv)
+/* a row's kernel values kv[j0, j1) into the sums of levels 2..L+1: acc at
+ * stride TILE, the row's levels 1..L in x at stride STRIP */
+static inline void FN(add_levels)(const REAL *kv, ptrdiff_t j0, ptrdiff_t j1, ptrdiff_t L,
+                                  const REAL *x, REAL *acc)
 {
-    FN(kernel_row)(d2 + j0, c, floor_, j1 - j0, kv + j0);
     for (ptrdiff_t l = 0; l < L; l++) {
         REAL xl = x[l * STRIP];
         REAL *restrict a = acc + l * TILE;
         for (ptrdiff_t j = j0; j < j1; j++)
             a[j] += xl * kv[j];
+    }
+}
+
+/* Row i's share of a tile's level sums at scale c over the columns [j0, j1):
+ * d2 holds the row's squared distances to the tile's columns, x its levels
+ * 1..L at stride STRIP, acc the tile's sums at stride TILE. */
+static inline void FN(row_span)(const double *d2, double c, REAL floor_, ptrdiff_t j0,
+                                ptrdiff_t j1, ptrdiff_t L, const REAL *x, REAL *acc, REAL *kv)
+{
+    FN(kernel_row)(d2 + j0, c, floor_, j1 - j0, kv + j0);
+    FN(add_levels)(kv, j0, j1, L, x, acc);
+}
+
+/* The same at a scale derived at power r from the base whose values kv holds:
+ * raised into kd, or at L = 1 straight into the sums.  Out of line, so that
+ * the direct route compiles as in a sweep without derived scales (inlined,
+ * the derived route slowed a single-scale sweep by 1-2 %). */
+static __attribute__((noinline)) void FN(derived_span)(const REAL *kv, int r, REAL t,
+                                                       ptrdiff_t j0, ptrdiff_t j1, ptrdiff_t L,
+                                                       const REAL *x, REAL *acc, REAL *kd)
+{
+    if (L == 1) {
+        FN(power_row)(kv + j0, t, r, j1 - j0, x[0], 1, acc + j0);
+    } else {
+        FN(power_row)(kv + j0, t, r, j1 - j0, 0, 0, kd + j0);
+        FN(add_levels)(kd, j0, j1, L, x, acc);
     }
 }
 
@@ -194,16 +299,21 @@ int CAT(sweep, REAL)(ptrdiff_t n, ptrdiff_t E, ptrdiff_t k, const double *points
      * from them split no cache line there (at 16 mod 64 the sweep ran 3-9 % slower). */
     const ptrdiff_t nx = (2 * n + 4 * nb + 7) / 8 * 8; /* doubles of xs, ys and box */
     char *mem = calloc(1, 64 + sizeof(double) * nx + sizeof(REAL) * E * L * (TILE + STRIP)
-                              + sizeof(unsigned) * E);
+                              + sizeof(ptrdiff_t) * 4 * E + sizeof(unsigned) * E);
     double *xs = (double *)(((uintptr_t)mem + 63) & ~(uintptr_t)63), *ys = xs + n;
     double *box = ys + n;                                      /* [4][nb] */
     REAL *acc = (REAL *)(xs + nx), *xr = acc + E * L * TILE; /* [e][l][TILE], [e][l][STRIP] */
-    unsigned *live = (unsigned *)(xr + E * L * STRIP); /* [e]: a tile's live blocks as bits */
-    REAL kv[TILE];
+    ptrdiff_t *order = (ptrdiff_t *)(xr + E * L * STRIP), *pw = order + E; /* [e] */
+    unsigned *live = (unsigned *)(pw + 3 * E); /* [e]: a tile's live blocks as bits */
+    REAL kv[TILE], kd[TILE], head[STRIP][STRIP], hd[STRIP][STRIP];
+    REAL t[POWER_BUDGET + 1] = {0}; /* t[r]: the least base value raised to the power r */
     double d2[TILE], gap2[TILE / STRIP];
     if (mem == NULL)
         return -1;
 
+    plan_scales(E, k, cneg, order, pw, pw + E, pw + 2 * E);
+    for (int r = 2; r <= POWER_BUDGET; r++)
+        t[r] = NEXT((REAL)exp(floor_ / (double)r), INFINITY);
     for (ptrdiff_t q = 0; q < E * L * n; q++)
         X[q] = 0;
     for (ptrdiff_t j = 0; j < n; j++) { /* node n-1-j of the path */
@@ -212,11 +322,18 @@ int CAT(sweep, REAL)(ptrdiff_t n, ptrdiff_t E, ptrdiff_t k, const double *points
     }
     bounding_boxes(xs, ys, n, box);
     for (ptrdiff_t i0 = 0; i0 < n; i0 += STRIP) {
-        ptrdiff_t i1 = i0 + STRIP < n ? i0 + STRIP : n;
-        for (ptrdiff_t e = 0; e < E; e++) {
-            FN(head_square)(xs, ys, n, k, i0, i1, cneg[e], floor_, X + e * L * n,
+        ptrdiff_t i1 = i0 + STRIP < n ? i0 + STRIP : n, m = i1 - i0;
+        for (ptrdiff_t q = 0; q < E; q++) { /* a derived scale follows its base's head */
+            ptrdiff_t e = order[q];
+            if (pw[e] == 1)
+                FN(head_values)(xs, ys, i0, m, cneg[e], floor_, head);
+            else
+                for (ptrdiff_t i = 0; i + 1 < m; i++)
+                    FN(power_row)(head[i] + i + 1, t[pw[e]], pw[e], m - i - 1, 0, 0,
+                                  hd[i] + i + 1);
+            FN(head_levels)(pw[e] == 1 ? head : hd, n, k, i0, m, X + e * L * n,
                             xr + e * L * STRIP);
-            count[e] += (i1 - i0) * (i1 - i0 - 1) / 2;
+            count[e] += m * (m - 1) / 2;
         }
         for (ptrdiff_t t0 = i1; t0 < n; t0 += TILE) {
             ptrdiff_t len = t0 + TILE < n ? TILE : n - t0;
@@ -239,11 +356,16 @@ int CAT(sweep, REAL)(ptrdiff_t n, ptrdiff_t E, ptrdiff_t k, const double *points
                     acc[q * TILE + j] = 0;
             for (ptrdiff_t i = i0; i < i1; i++) {
                 FN(distances)(xs[i], ys[i], xs + t0 + j0, ys + t0 + j0, j1 - j0, d2 + j0);
-                for (ptrdiff_t e = 0; e < E; e++) {
+                for (ptrdiff_t q = 0; q < E; q++) { /* a derived scale reads its base's kv */
+                    const ptrdiff_t e = order[q];
+                    const int r = (int)pw[e];
                     const REAL *x = xr + e * L * STRIP + i - i0;
                     REAL *a = acc + e * L * TILE;
                     if (live[e] == full) { /* one call: a run of blocks sweeps slower */
-                        FN(row_span)(d2, cneg[e], floor_, 0, len, L, x, a, kv);
+                        if (r == 1)
+                            FN(row_span)(d2, cneg[e], floor_, 0, len, L, x, a, kv);
+                        else
+                            FN(derived_span)(kv, r, t[r], 0, len, L, x, a, kd);
                         count[e] += len;
                         continue;
                     }
@@ -254,7 +376,10 @@ int CAT(sweep, REAL)(ptrdiff_t n, ptrdiff_t E, ptrdiff_t k, const double *points
                         while (b1 * STRIP < len && live[e] >> b1 & 1)
                             b1++;
                         ptrdiff_t r1 = b1 * STRIP < len ? b1 * STRIP : len;
-                        FN(row_span)(d2, cneg[e], floor_, b0 * STRIP, r1, L, x, a, kv);
+                        if (r == 1)
+                            FN(row_span)(d2, cneg[e], floor_, b0 * STRIP, r1, L, x, a, kv);
+                        else
+                            FN(derived_span)(kv, r, t[r], b0 * STRIP, r1, L, x, a, kd);
                         count[e] += r1 - b0 * STRIP;
                         b0 = b1;
                     }

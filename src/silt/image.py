@@ -273,7 +273,8 @@ def delta_family_check(phi, v_k, F: Diffeomorphism, epsilon_levels, k=2, n_nodes
             inner = GH @ G.T                                  # [a, b]: sum over a', b'
             value = float(np.sum(outer * inner.ravel()) / math.pi**2)
         if not math.isfinite(value):
-            raise ValueError(f"delta-family value at epsilon={eps:g} is not finite ({value})")
+            raise ValueError(f"delta-family value at epsilon={float(eps)!r} is not finite "
+                             f"({value})")
         rows.append(DeltaRow(epsilon=float(eps), value=value, target=target,
                              deviation=abs(value - target)))
     return rows

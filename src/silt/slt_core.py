@@ -22,14 +22,16 @@ O(k n^2) for any number of weights, with the sums of literal nested loops.
 
 That recursion is one C kernel, ``_sweep.c``, which forms each kernel exponent
 from a float64 squared distance, exponentiates it with glibc's vector math
-library (libmvec) and feeds it to every level in the same pass.  It takes no
-weight: ``simplex_levels`` applies the weights by ``einsum``, summed in path
-order, not by BLAS.  Importing this module builds the kernel with ``COMPILER``
-(gcc) for this CPU, or loads the build cached for this source, flags and CPU in
-the first usable per-user directory of $XDG_CACHE_HOME/silt, ~/.cache/silt and
-<tempdir>/silt-<uid>, and then removes the builds there of any other source or
-flags.  A failed build leaves the import working; ``simplex_levels`` then
-raises a RuntimeError that names the command and the tail of its stderr.
+library (libmvec), or at a scale an integer ratio r below another raises that
+scale's value to the r-th power, and feeds it to every level in the same
+pass.  It takes no weight: ``simplex_levels`` applies the weights by
+``einsum``, summed in path order, not by BLAS.  Importing this module builds
+the kernel with ``COMPILER`` (gcc) for this CPU, or loads the build cached for
+this source, flags and CPU in the first usable per-user directory of
+$XDG_CACHE_HOME/silt, ~/.cache/silt and <tempdir>/silt-<uid>, and then removes
+the builds there of any other source or flags.  A failed build leaves the
+import working; ``simplex_levels`` then raises a RuntimeError that names the
+command and the tail of its stderr.
 """
 
 import ctypes
@@ -258,8 +260,9 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
         a strip's 32 rows, which the float64 chain sums X_l accumulate.  Each
         exponent is formed in float64 and then cast, so float32 rounds it once,
         wherever the path lies.  On grids with n >= 10 / eps, levels of
-        positive weights agree with float64 to about 1e-8 relative per entry
-        (tested to 1e-7 at offsets up to 1e3; see README).
+        positive weights agree with float64 to about 1e-8 relative per entry,
+        and to at most 7e-8 at a scale derived by the power rule below (both
+        tested to 1e-7 at offsets up to 1e3; see README).
 
     The sweep is the compiled kernel of the module docstring.  It runs on the
     time-reversed path with unit weight and takes, path by path, strips of
@@ -279,12 +282,19 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
     block is skipped for a strip when the exponent formed from the squared
     distance between the two node blocks' bounding boxes falls below that
     floor, as then every pair in it would take the floor value.  No other pair
-    is skipped or approximated, and each scale's levels are bit for bit those
-    of a sweep at that scale alone.  A NaN in the points or weights reaches
-    the levels it touches.  Raises ValueError for a path of fewer than two
-    nodes (n = 0) or a scale at which -1/(2 eps) or a level's factor
-    (1/n)^l / (2 pi eps)^(l-1) is not a finite nonzero float, and RuntimeError
-    when the kernel could not be built.
+    is skipped.  Scales at an integer ratio share their exps by a power rule:
+    taken in descending eps, a scale whose eps is eps_b / r for a direct
+    (exponentiated) scale eps_b, with r >= 2 an integer to 1e-12 relative and
+    (k - 1) r <= 6, takes each kernel value as max(K_b, exp(floor / r))^r from
+    the smallest such r, by at most three products (0.05 = 0.1 / 2 and 0.02 =
+    0.1 / 5 at k = 2); the power multiplies the rounding of K_b's exp by r,
+    which the bound on (k - 1) r keeps within the dtype agreement above.  A
+    direct scale's levels are bit for bit those of a sweep at that scale
+    alone; a derived one's lie within 1e-15 of them in float64 and 1e-7 in
+    float32.  A NaN in the points or weights reaches the levels it touches.
+    Raises ValueError for a path of fewer than two nodes (n = 0) or a scale at
+    which -1/(2 eps) or a level's factor (1/n)^l / (2 pi eps)^(l-1) is not a
+    finite nonzero float, and RuntimeError when the kernel could not be built.
 
     Returns
     -------
@@ -395,7 +405,8 @@ class EnsembleConfig:
     ``dtype`` ("float32" or "float64") is the precision of the sweep's kernel
     values and of their sums over a strip's 32 rows; exponents are formed in
     float64 and cast to it.  On grids with n >= 10 / eps, level sums at both
-    agree to about 1e-8 relative at any path offset (tested to 1e-7; see
+    agree to about 1e-8 relative at any path offset, and to 7e-8 at scales
+    derived from a scale at an integer ratio (tested to 1e-7; see
     simplex_levels).
     """
 
@@ -454,7 +465,7 @@ def check_resolution(n_steps, eps_list):
     if 1.0 / n_steps <= smallest / 10.0:
         return
     warnings.warn(
-        f"grid spacing 1/{n_steps} exceeds eps/10 for eps={smallest:g}; "
+        f"grid spacing 1/{n_steps} exceeds eps/10 for eps={smallest!r}; "
         "the Riemann sum may under-resolve the kernel",
         RuntimeWarning,
         stacklevel=_outside_stacklevel(),

@@ -165,6 +165,40 @@ def _excursion_points(n, streams):
     return pts
 
 
+#: (k - 1) r of a scale that the sweep derives at power r is at most this
+#: (POWER_BUDGET in _sweep.c)
+POWER_BUDGET = 6
+
+#: rtol of derived levels against the dense float64 oracle: float64 forms
+#: them by at most three products from exps, float32 rounds them as in
+#: test_underflowing_kernel_matches_dense_oracle
+ORACLE_RTOL = {np.float64: 1e-12, np.float32: 1e-4}
+
+#: largest relative gap between a derived scale's levels and those of a sweep
+#: at that scale alone, both in one dtype; test_scales_do_not_change_each_other
+#: measured 5.0e-8 in float32 and 2.1e-16 in float64 at 0.3 / 6
+DERIVED_VS_ALONE = {np.float32: 1e-7, np.float64: 1e-15}
+
+
+def _derived_scales(eps, k):
+    """{e: (b, r)} for each scale e that the sweep derives from scale b at power r.
+
+    In descending eps, a scale derives from the direct scale b with the least
+    integer r = eps_b / eps_e (to 1e-12 relative) with r >= 2 and
+    (k - 1) r <= POWER_BUDGET; every other scale is direct."""
+    derived, direct = {}, []
+    for e in sorted(range(len(eps)), key=lambda e: -eps[e]):
+        fits = [(round(eps[b] / eps[e]), b) for b in direct]
+        fits = [(r, b) for r, b in fits if r >= 2 and (k - 1) * r <= POWER_BUDGET
+                and abs(eps[b] / eps[e] - r) <= 1e-12 * eps[b] / eps[e]]
+        if fits:  # the least r, and of equal ones the largest eps_b
+            r, b = min(fits, key=lambda fit: fit[0])
+            derived[e] = (b, r)
+        else:
+            direct.append(e)
+    return derived
+
+
 def _kernel_counts(points, eps, dtype):
     """Kernel values the sweep evaluates for one path at each scale, by a direct call."""
     n, eps = len(points) - 1, np.asarray(eps, dtype=float)
@@ -248,16 +282,96 @@ def test_skipped_blocks_match_dense_oracle(k, dtype, rtol):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_scales_do_not_change_each_other(k, dtype):
-    # each scale's levels are bit for bit those of a sweep at that scale alone,
-    # also where the sweep skips blocks at one scale and not at the other
+    # a direct scale's levels are bit for bit those of a sweep at that scale
+    # alone, also where the sweep skips blocks at one scale and not at the
+    # other; 0.05 is 0.3 / 6, derived at k = 2 only, and there it matches the
+    # dense oracle and, within DERIVED_VS_ALONE, the sweep of 0.05 alone
     n = 3 * STRIP_ROWS + 5
     rho = 0.5 + np.random.default_rng(n).random((2, 3, n))
     for pts, eps in [(sample_path_points(n, 13, [0, 1]), [0.3, 0.05]),
                      (_excursion_points(n, [0, 1]), [0.3, 2e-4])]:
         joint = simplex_levels(pts, rho, eps, k, dtype)
+        derived = _derived_scales(eps, k)
+        assert list(derived) == ([1] if k == 2 and eps[1] == 0.05 else [])
         for e, epsilon in enumerate(eps):
             alone = simplex_levels(pts, rho, [epsilon], k, dtype)
-            assert np.array_equal(joint[:, :, e], alone[:, :, 0])
+            if e not in derived:
+                assert np.array_equal(joint[:, :, e], alone[:, :, 0])
+                continue
+            for b in range(len(pts)):
+                oracle = _dense_levels(pts[b], rho[b], epsilon, k)
+                np.testing.assert_allclose(joint[b, :, e, 1:], oracle,
+                                           rtol=ORACLE_RTOL[dtype], atol=0)
+            gap = np.abs(joint[:, :, e] - alone[:, :, 0]) / np.abs(alone[:, :, 0])
+            assert 0 < np.max(gap) <= DERIVED_VS_ALONE[dtype]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_derived_scales_match_dense_oracle(k, dtype):
+    # 0.15 = 0.3 / 2 is derived at every k here, 0.06 = 0.3 / 5 at k = 2 only
+    n, eps = 3 * STRIP_ROWS + 5, [0.3, 0.15, 0.06]
+    assert _derived_scales(eps, k) == ({1: (0, 2), 2: (0, 5)} if k == 2 else {1: (0, 2)})
+    pts = sample_path_points(n, 13, [0])
+    rho = 0.5 + np.random.default_rng(n).random((1, 3, n))
+    levels = simplex_levels(pts, rho, eps, k, dtype)
+    for e, epsilon in enumerate(eps):
+        oracle = _dense_levels(pts[0], rho[0], epsilon, k)
+        np.testing.assert_allclose(levels[0, :, e, 1:], oracle, rtol=ORACLE_RTOL[dtype], atol=0)
+
+
+#: (base, derived) scales at ratio 6, k = 2, at which the sweep keeps block 1 of
+#: _excursion_points against the others and skips it at the derived scale: the
+#: boxes' squared gaps are 2.47 and more, their exponents lie above the floor
+#: at the base (-86.3 in float32, -707.4 in float64) and below it at the other
+_EXCURSION_LADDER = {np.float32: [0.05, 0.05 / 6], np.float64: [0.006, 0.001]}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_derived_scale_skips_blocks_its_base_sweeps(dtype):
+    # and its count, as every scale's, is that of a sweep at that scale alone
+    n, eps = 3 * STRIP_ROWS + 5, _EXCURSION_LADDER[dtype]
+    assert _derived_scales(eps, 2) == {1: (0, 6)}
+    pts = _excursion_points(n, [0])
+    count = _kernel_counts(pts[0], eps, dtype)
+    assert count[0] == _live_pair_count(pts[0], eps[0], dtype) == n * (n - 1) // 2
+    assert count[1] == _live_pair_count(pts[0], eps[1], dtype)
+    assert count[1] == count[0] - STRIP_ROWS * (n - STRIP_ROWS)  # block 1 against the rest
+    assert list(count) == [_kernel_counts(pts[0], [epsilon], dtype)[0] for epsilon in eps]
+    rho = 0.5 + np.random.default_rng(n).random((1, 3, n))
+    levels = simplex_levels(pts, rho, eps, 2, dtype)
+    for e, epsilon in enumerate(eps):
+        oracle = _dense_levels(pts[0], rho[0], epsilon, 2)
+        np.testing.assert_allclose(levels[0, :, e, 1:], oracle, rtol=ORACLE_RTOL[dtype], atol=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_nine_scale_dyadic_ladder_matches_dense_oracle(dtype):
+    # 0.4 / 2^i, i = 0..8: 0.4, 0.05 and 0.00625 are direct, the others derived
+    # at r = 2 or 4 from the direct scale above them
+    n, k = 3 * STRIP_ROWS + 5, 2
+    eps = [0.4 / 2**i for i in range(9)]
+    derived = _derived_scales(eps, k)
+    assert sorted(set(range(9)) - set(derived)) == [0, 3, 6]
+    assert {r for _, r in derived.values()} == {2, 4}
+    pts = sample_path_points(n, 13, [0])
+    rho = 0.5 + np.random.default_rng(n).random((1, 2, n))
+    levels = simplex_levels(pts, rho, eps, k, dtype)
+    for e, epsilon in enumerate(eps):
+        oracle = _dense_levels(pts[0], rho[0], epsilon, k)
+        np.testing.assert_allclose(levels[0, :, e, 1:], oracle, rtol=ORACLE_RTOL[dtype], atol=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_levels_do_not_depend_on_the_order_of_scales(k, dtype):
+    n, eps = 3 * STRIP_ROWS + 5, [0.3, 0.15, 0.07, 0.06]
+    pts = sample_path_points(n, 13, [0, 1])
+    rho = 0.5 + np.random.default_rng(n).random((2, 2, n))
+    listed = simplex_levels(pts, rho, eps, k, dtype)
+    for perm in itertools.permutations(range(len(eps))):
+        levels = simplex_levels(pts, rho, [eps[e] for e in perm], k, dtype)
+        assert np.array_equal(levels, listed[:, :, list(perm)])
 
 
 @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-4)])
@@ -280,11 +394,14 @@ def test_underflowing_kernel_matches_dense_oracle(dtype, rtol):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 def test_nan_node_reaches_levels(dtype):
     # a NaN node must spoil the pair sums it enters, never vanish in the exp
-    # floor or in a skipped block.  In the second case node 0 alone makes up
-    # the reversed path's last block, so it enters no head square; moved 100
-    # away, as on the NaN-free path, that block is skipped at every scale
-    for n, node, eps in [(3 * STRIP_ROWS + 5, 10, [0.3, 0.05]),
-                         (3 * STRIP_ROWS + 1, 0, [0.3, 2e-4])]:
+    # floor, in a skipped block or in a derived scale's power (0.1 = 0.2 / 2, and
+    # at k = 2 0.05 = 0.2 / 4).  Where node 0 is NaN it alone makes up the
+    # reversed path's last block, so it enters no head square; moved 100 away,
+    # as on the NaN-free path, that block is skipped at every scale
+    for n, node, eps, k in [(3 * STRIP_ROWS + 5, 10, [0.3, 0.05], 3),
+                            (3 * STRIP_ROWS + 1, 0, [0.3, 2e-4], 3),
+                            (3 * STRIP_ROWS + 5, 10, [0.2, 0.1, 0.05], 2),
+                            (3 * STRIP_ROWS + 1, 0, [0.2, 0.1, 0.05], 3)]:
         pts = sample_path_points(n, 13, [0, 1])
         pts[0, node] = np.nan
         if node == 0:
@@ -292,7 +409,7 @@ def test_nan_node_reaches_levels(dtype):
             count = _kernel_counts(pts[1], eps, dtype)
             assert count[1] <= count[0] == n * (n - 1) // 2 - (n - 1)
         rho = 0.5 + np.random.default_rng(n).random((2, 1, n))
-        levels = simplex_levels(pts, rho, eps, 3, dtype)
+        levels = simplex_levels(pts, rho, eps, k, dtype)
         assert np.all(np.isnan(levels[0, :, :, 1:]))
         assert np.all(np.isfinite(levels[0, :, :, 0])) and np.all(np.isfinite(levels[1]))
 
@@ -342,6 +459,21 @@ def test_float32_levels_within_1e7_of_float64_on_resolved_grids(eps, data, k, m,
     pts = sample_path_points(n, 11, [stream]) + np.array(offset)
     rho = 0.5 + np.random.default_rng(stream).random((1, m, n))
     a, b = (simplex_levels(pts, rho, [eps], k, dt) for dt in (np.float32, np.float64))
+    assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(eps=st.floats(0.02, 0.3), data=st.data(), k=st.integers(2, 4), m=st.integers(1, 4),
+       stream=st.integers(0, 2**16), offset=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+def test_float32_levels_within_1e7_of_float64_on_integer_ratio_ladders(eps, data, k, m, stream,
+                                                                        offset):
+    # scales eps and eps / r: derived where (k - 1) r <= POWER_BUDGET, direct
+    # above it; n >= 10 / (eps / r) caps r at eps * 102.4 (see README)
+    r = data.draw(st.integers(2, min(8, math.floor(eps * 1024 / 10))), label="r")
+    n = data.draw(st.integers(math.ceil(10 / (eps / r)), 1024), label="n")
+    pts = sample_path_points(n, 11, [stream]) + np.array(offset)
+    rho = 0.5 + np.random.default_rng(stream).random((1, m, n))
+    a, b = (simplex_levels(pts, rho, [eps, eps / r], k, dt) for dt in (np.float32, np.float64))
     assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-7
 
 
