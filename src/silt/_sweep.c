@@ -11,21 +11,22 @@
  * call.  Rows are taken in strips of STRIP and columns in tiles of TILE.  Each
  * exponent is a float64 product of -1/(2 eps) and the float64 squared distance,
  * cast to REAL; the floor, exp and the sums over a strip's rows are in REAL,
- * and each strip sum is added to the float64 X.  The STRIP x STRIP head square
- * of a strip goes first, level by level, since level l+1 reads level l at the
- * strip's own rows; the columns beyond it take every level in one pass.
+ * and each strip sum is added to the float64 X.  A strip's pairs among its own
+ * rows go first, row by row, by the same calls as the columns beyond: at the
+ * start of row i, column i's sums over the strip's earlier rows are added to
+ * X, and then the row's levels are read.
  *
  * Scales at an integer ratio share their exps.  Taken in descending eps, a
  * scale is derived from the direct scale b with the smallest integer
  * r = eps_b / eps (to 1e-12 relative) that has r >= 2 and (k - 1) r <=
  * POWER_BUDGET; every other scale is direct and takes the exp above.  A
- * derived scale takes each kernel value, head squares included, as
- * max(K_b, t_r)^r, from the base's value K_b of the same pair and t_r =
- * exp(floor / r) rounded up, by a fixed chain of at most three products: no
- * product is subnormal, a pair below the floor gets about exp(floor), and a
- * NaN stays NaN.  The power multiplies the rounding of the base's exp by r,
- * and the budget keeps float32 levels within 1e-7 of float64 at every k (see
- * README); float64 derived levels lie within 1e-15 of direct ones.
+ * derived scale takes each kernel value as max(K_b, t_r)^r, from the base's
+ * value K_b of the same pair and t_r = exp(floor / r) rounded up, by a fixed
+ * chain of at most three products: no product is subnormal, a pair below the
+ * floor gets about exp(floor), and a NaN stays NaN.  The power multiplies the
+ * rounding of the base's exp by r, and the budget keeps float32 levels within
+ * 1e-7 of float64 at every k (see README); float64 derived levels lie within
+ * 1e-15 of direct ones.
  *
  * Column blocks of STRIP nodes, aligned like the strips, are skipped scale by
  * scale: at scale eps a block is skipped for a strip when the exponent
@@ -214,38 +215,6 @@ static void FN(distances)(double xi, double yi, const double *restrict xs,
     }
 }
 
-/* Kernel values head[i][j], i < j < m, at scale c among the m rows of the strip
- * that starts at node i0. */
-static void FN(head_values)(const double *xs, const double *ys, ptrdiff_t i0, ptrdiff_t m,
-                            double c, REAL floor_, REAL head[][STRIP])
-{
-    double d2[STRIP];
-    for (ptrdiff_t i = 0; i + 1 < m; i++) {
-        FN(distances)(xs[i0 + i], ys[i0 + i], xs + i0 + i + 1, ys + i0 + i + 1, m - i - 1, d2);
-        FN(kernel_row)(d2, c, floor_, m - i - 1, head[i] + i + 1);
-    }
-}
-
-/* One strip [i0, i0 + m) against itself, from its head values.  X holds levels
- * 2..k at stride n; xr receives the strip rows' values of levels 1..k-1 in
- * REAL, at stride STRIP. */
-static void FN(head_levels)(REAL head[][STRIP], ptrdiff_t n, ptrdiff_t k, ptrdiff_t i0,
-                            ptrdiff_t m, double *X, REAL *xr)
-{
-    for (ptrdiff_t l = 0; l + 1 < k; l++) { /* level l + 2 from level l + 1 */
-        REAL *x = xr + l * STRIP;
-        double *next = X + l * n + i0;
-        for (ptrdiff_t i = 0; i < m; i++)
-            x[i] = l == 0 ? (REAL)1 : (REAL)X[(l - 1) * n + i0 + i];
-        for (ptrdiff_t j = 1; j < m; j++) {
-            REAL s = 0;
-            for (ptrdiff_t i = 0; i < j; i++)
-                s += x[i] * head[i][j];
-            next[j] += s;
-        }
-    }
-}
-
 /* a row's kernel values kv[j0, j1) into the sums of levels 2..L+1: acc at
  * stride TILE, the row's levels 1..L in x at stride STRIP */
 static inline void FN(add_levels)(const REAL *kv, ptrdiff_t j0, ptrdiff_t j1, ptrdiff_t L,
@@ -270,9 +239,10 @@ static inline void FN(row_span)(const double *d2, double c, REAL floor_, ptrdiff
 }
 
 /* The same at a scale derived at power r from the base whose values kv holds:
- * raised into kd, or at L = 1 straight into the sums.  Out of line, so that
- * the direct route compiles as in a sweep without derived scales (inlined,
- * the derived route slowed a single-scale sweep by 1-2 %). */
+ * raised into kd, or at L = 1 straight into the sums, which saves the store to
+ * kd and its reload (through kd, converge's sweep ran 8 % slower).  Out of
+ * line, so that the direct route compiles as in a sweep without derived scales
+ * (inlined, the derived route slowed a single-scale sweep by 1-2 %). */
 static __attribute__((noinline)) void FN(derived_span)(const REAL *kv, int r, REAL t,
                                                        ptrdiff_t j0, ptrdiff_t j1, ptrdiff_t L,
                                                        const REAL *x, REAL *acc, REAL *kd)
@@ -305,7 +275,7 @@ int CAT(sweep, REAL)(ptrdiff_t n, ptrdiff_t E, ptrdiff_t k, const double *points
     REAL *acc = (REAL *)(xs + nx), *xr = acc + E * L * TILE; /* [e][l][TILE], [e][l][STRIP] */
     ptrdiff_t *order = (ptrdiff_t *)(xr + E * L * STRIP), *pw = order + E; /* [e] */
     unsigned *live = (unsigned *)(pw + 3 * E); /* [e]: a tile's live blocks as bits */
-    REAL kv[TILE], kd[TILE], head[STRIP][STRIP], hd[STRIP][STRIP];
+    REAL kv[TILE], kd[TILE];
     REAL t[POWER_BUDGET + 1] = {0}; /* t[r]: the least base value raised to the power r */
     double d2[TILE], gap2[TILE / STRIP];
     if (mem == NULL)
@@ -323,17 +293,27 @@ int CAT(sweep, REAL)(ptrdiff_t n, ptrdiff_t E, ptrdiff_t k, const double *points
     bounding_boxes(xs, ys, n, box);
     for (ptrdiff_t i0 = 0; i0 < n; i0 += STRIP) {
         ptrdiff_t i1 = i0 + STRIP < n ? i0 + STRIP : n, m = i1 - i0;
-        for (ptrdiff_t q = 0; q < E; q++) { /* a derived scale follows its base's head */
-            ptrdiff_t e = order[q];
-            if (pw[e] == 1)
-                FN(head_values)(xs, ys, i0, m, cneg[e], floor_, head);
-            else
-                for (ptrdiff_t i = 0; i + 1 < m; i++)
-                    FN(power_row)(head[i] + i + 1, t[pw[e]], pw[e], m - i - 1, 0, 0,
-                                  hd[i] + i + 1);
-            FN(head_levels)(pw[e] == 1 ? head : hd, n, k, i0, m, X + e * L * n,
-                            xr + e * L * STRIP);
-            count[e] += m * (m - 1) / 2;
+        for (ptrdiff_t q = 0; q < E * L; q++)
+            for (ptrdiff_t j = 0; j < m; j++)
+                acc[q * TILE + j] = 0;
+        for (ptrdiff_t i = 0; i < m; i++) { /* the strip's own pairs, row by row */
+            for (ptrdiff_t q = 0; q < E * L; q++) { /* row i's sums are whole: fold, then read */
+                X[q * n + i0 + i] += acc[q * TILE + i];
+                xr[q * STRIP + i] = q % L ? (REAL)X[(q - 1) * n + i0 + i] : 1;
+            }
+            FN(distances)(xs[i0 + i], ys[i0 + i], xs + i0 + i + 1, ys + i0 + i + 1, m - i - 1,
+                          d2 + i + 1);
+            for (ptrdiff_t q = 0; q < E; q++) {
+                const ptrdiff_t e = order[q];
+                const int r = (int)pw[e];
+                const REAL *x = xr + e * L * STRIP + i;
+                REAL *a = acc + e * L * TILE;
+                if (r == 1)
+                    FN(row_span)(d2, cneg[e], floor_, i + 1, m, L, x, a, kv);
+                else
+                    FN(derived_span)(kv, r, t[r], i + 1, m, L, x, a, kd);
+                count[e] += m - i - 1;
+            }
         }
         for (ptrdiff_t t0 = i1; t0 < n; t0 += TILE) {
             ptrdiff_t len = t0 + TILE < n ? TILE : n - t0;
@@ -361,7 +341,9 @@ int CAT(sweep, REAL)(ptrdiff_t n, ptrdiff_t E, ptrdiff_t k, const double *points
                     const int r = (int)pw[e];
                     const REAL *x = xr + e * L * STRIP + i - i0;
                     REAL *a = acc + e * L * TILE;
-                    if (live[e] == full) { /* one call: a run of blocks sweeps slower */
+                    /* a full tile takes one call, with j0 = 0 known to the compiler
+                     * and no block scan: through the scan below, sweeps ran 3-15 % slower */
+                    if (live[e] == full) {
                         if (r == 1)
                             FN(row_span)(d2, cneg[e], floor_, 0, len, L, x, a, kv);
                         else

@@ -270,8 +270,8 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
     strip and scale: the exponent -|w_i - w_j|^2 / (2 eps) as a float64
     product of the squared difference, cast to ``dtype``, then exp, then the
     strip's share of X_{l+1}(j) = sum_{i<j} X_l(i) K_ij for every level.  The
-    strip's own 32 x 32 head square goes first, level by level, as level l+1
-    reads level l at the strip's rows.  Levels 2..k meet the reversed weights
+    strip's own pairs go first, row by row: row i reads its levels once the
+    shares of rows before i are in.  Levels 2..k meet the reversed weights
     in numpy, by ``einsum``, summed over j in path order (BLAS would move the
     last bits).  Exponents below one above the log of the smallest normal
     number of ``dtype`` are raised to it (kernel values of 3.2e-38 in

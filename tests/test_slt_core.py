@@ -130,16 +130,24 @@ def _dense_levels(points, rho, eps, k):
     return np.stack(levels, axis=-1)  # (M, k - 1)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
-@pytest.mark.parametrize("n", [STRIP_ROWS - 1, STRIP_ROWS, STRIP_ROWS + 1, 3 * STRIP_ROWS + 5])
-def test_strip_edges_match_dense_oracle(n, k):
+def _strip_edge_cases():
+    """(n, k, eps, dtype): 0.15 is derived from 0.3 at k = 2..4, 0.05 only at k = 2.
+    The float64 cases at [0.3, 0.05] keep their ids n-k."""
+    for n, k, eps, dtype in itertools.product(
+            [1, 2, STRIP_ROWS - 1, STRIP_ROWS, STRIP_ROWS + 1, 3 * STRIP_ROWS + 5], [2, 3, 4],
+            [[0.3, 0.05], [0.3, 0.15]], [np.float64, np.float32]):
+        tag = "" if eps[1] == 0.05 and dtype is np.float64 else f"-{eps[1]}-{dtype.__name__}"
+        yield pytest.param(n, k, eps, dtype, id=f"{n}-{k}{tag}")
+
+
+@pytest.mark.parametrize("n, k, eps, dtype", _strip_edge_cases())
+def test_strip_edges_match_dense_oracle(n, k, eps, dtype):
     pts = sample_path_points(n, 13, [0])
     rho = 0.5 + np.random.default_rng(n).random((1, 3, n))
-    eps = [0.3, 0.05]
-    levels = simplex_levels(pts, rho, eps, k)
+    levels = simplex_levels(pts, rho, eps, k, dtype=dtype)
     for e, epsilon in enumerate(eps):
         oracle = _dense_levels(pts[0], rho[0], epsilon, k)
-        np.testing.assert_allclose(levels[0, :, e, 1:], oracle, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(levels[0, :, e, 1:], oracle, rtol=ORACLE_RTOL[dtype], atol=0)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
