@@ -16,16 +16,17 @@
  * start of row i, column i's sums over the strip's earlier rows are added to
  * X, and then the row's levels are read.
  *
- * Scales at an integer ratio share their exps.  Taken in descending eps, a
- * scale is derived from the direct scale b with the smallest integer
- * r = eps_b / eps (to 1e-12 relative) that has r >= 2 and (k - 1) r <=
- * POWER_BUDGET; every other scale is direct and takes the exp above.  A
- * derived scale takes each kernel value as max(K_b, t_r)^r, from the base's
- * value K_b of the same pair and t_r = exp(floor / r) rounded up, by a fixed
- * chain of at most three products: no product is subnormal, a pair below the
- * floor gets about exp(floor), and a NaN stays NaN.  The power multiplies the
- * rounding of the base's exp by r, and the budget keeps float32 levels within
- * 1e-7 of float64 at every k (see README); float64 derived levels lie within
+ * Scales at an integer ratio share their exps, by the scale plan that
+ * silt.slt_core._scale_plan picks and the caller passes: plan[0..E) lists the
+ * scales, each direct scale followed at once by the scales derived from it,
+ * and plan[E + e] is the power r of scale e, 1 for a direct scale, which takes
+ * the exp above.  A derived scale takes each kernel value as max(K_b, t_r)^r,
+ * from the value K_b of the same pair at its base, the direct scale listed
+ * before it, and t_r = exp(floor / r) rounded up, by a fixed chain of at most
+ * three products: no product is subnormal, a pair below the floor gets about
+ * exp(floor), and a NaN stays NaN.  The power multiplies the rounding of the
+ * base's exp by r; the plan's budget keeps float32 levels within 1e-7 of
+ * float64 at every k (see README), and float64 derived levels lie within
  * 1e-15 of direct ones.
  *
  * Column blocks of STRIP nodes, aligned like the strips, are skipped scale by
@@ -67,8 +68,6 @@ double exp(double);
 #if TILE % STRIP || TILE / STRIP > 32 /* a tile's live blocks are the bits of an unsigned */
 #error "TILE must hold at most 32 blocks of STRIP columns"
 #endif
-/* largest (k - 1) r of a scale derived at power r; r then lies in 2..6 */
-#define POWER_BUDGET 6
 #define CAT_(a, b) a##_##b
 #define CAT(a, b) CAT_(a, b)
 
@@ -113,47 +112,6 @@ static void box_distances(const double *box, ptrdiff_t nb, ptrdiff_t s, ptrdiff_
     }
 }
 
-/* The plan of one sweep, from the exponent factors cneg of the E scales (eps
- * descending is cneg descending).  pw[e] is 1 for a direct scale and r for one
- * derived at power r (see the top of this file); order lists each direct scale,
- * in descending eps, followed at once by the scales derived from it.  Ties in
- * cneg, which give equal values, keep the listed order; no level depends on it.
- * base and sorted are scratch of E entries. */
-static void plan_scales(ptrdiff_t E, ptrdiff_t k, const double *cneg, ptrdiff_t *order,
-                        ptrdiff_t *pw, ptrdiff_t *base, ptrdiff_t *sorted)
-{
-    for (ptrdiff_t e = 0; e < E; e++) { /* insertion sort: E^2 is small against E n^2 */
-        ptrdiff_t q = e;
-        for (; q > 0 && cneg[sorted[q - 1]] < cneg[e]; q--)
-            sorted[q] = sorted[q - 1];
-        sorted[q] = e;
-    }
-    for (ptrdiff_t q = 0; q < E; q++) {
-        ptrdiff_t e = sorted[q];
-        base[e] = -1;
-        pw[e] = 1;
-        for (ptrdiff_t p = 0; p < q; p++) { /* the scales of larger or equal eps */
-            ptrdiff_t b = sorted[p];
-            double ratio = cneg[e] / cneg[b]; /* eps_b / eps_e, >= 1 */
-            ptrdiff_t r = ratio < POWER_BUDGET + 1 ? (ptrdiff_t)(ratio + 0.5) : 0;
-            if (base[b] < 0 && r >= 2 && (k - 1) * r <= POWER_BUDGET
-                && fabs(ratio - r) <= 1e-12 * ratio && (base[e] < 0 || r < pw[e])) {
-                base[e] = b;
-                pw[e] = r;
-            }
-        }
-    }
-    ptrdiff_t m = 0;
-    for (ptrdiff_t q = 0; q < E; q++) {
-        if (base[sorted[q]] >= 0)
-            continue;
-        order[m++] = sorted[q];
-        for (ptrdiff_t p = q + 1; p < E; p++)
-            if (base[sorted[p]] == sorted[q])
-                order[m++] = sorted[p];
-    }
-}
-
 #define REAL float
 #define EXP expf
 #define NEXT nextafterf
@@ -189,11 +147,11 @@ static void FN(kernel_row)(const double *restrict d2, double c, REAL floor_, ptr
         kv[j] = EXP(kv[j]);
 }
 
-/* A derived scale's kernel values max(kb[j], t)^r, r in 2..6, from its base's
+/* A derived scale's kernel values max(kb[j], t)^r, r in 2..7, from its base's
  * kb[0..len): into out, or, when add is set, added to out times x0.  Of the
  * factors v^4, v^2 and v, those whose bit of r is clear are 1, so that v^r
- * takes at most three rounded products and one loop serves every r.  Out of
- * line, as derived_span below. */
+ * takes at most three rounded products up to r = 6 and one loop serves every
+ * r.  Out of line, as derived_span below. */
 static __attribute__((noinline)) void FN(power_row)(const REAL *restrict kb, REAL t, int r,
                                                     ptrdiff_t len, REAL x0, int add,
                                                     REAL *restrict out)
@@ -258,10 +216,11 @@ static __attribute__((noinline)) void FN(derived_span)(const REAL *kv, int r, RE
 /* Levels 2..k of one path's chain sums, unscaled, into the caller's X of E (k-1)
  * n doubles, zeroed first: X[(e (k-1) + l) n + j] is level l + 2 at scale e and
  * node j of the reversed path.  The kernel values evaluated at each scale are
- * added to count[e].  points: (n+1, 2) path nodes; cneg: (E) values -1/(2 eps).
- * Returns 0, or -1 when scratch memory is short. */
+ * added to count[e].  points: (n+1, 2) path nodes; cneg: (E) values -1/(2 eps);
+ * plan: (2 E) the scale plan (see the top of this file).  Returns 0, or -1 when
+ * scratch memory is short. */
 int CAT(sweep, REAL)(ptrdiff_t n, ptrdiff_t E, ptrdiff_t k, const double *points,
-                     const double *cneg, double *X, int64_t *count)
+                     const double *cneg, const int64_t *plan, double *X, int64_t *count)
 {
     const REAL floor_ = (REAL)(log(TINY) + 1.0); /* subnormal exp results are slow */
     const ptrdiff_t L = k - 1, nb = (n + STRIP - 1) / STRIP;
@@ -269,21 +228,20 @@ int CAT(sweep, REAL)(ptrdiff_t n, ptrdiff_t E, ptrdiff_t k, const double *points
      * from them split no cache line there (at 16 mod 64 the sweep ran 3-9 % slower). */
     const ptrdiff_t nx = (2 * n + 4 * nb + 7) / 8 * 8; /* doubles of xs, ys and box */
     char *mem = calloc(1, 64 + sizeof(double) * nx + sizeof(REAL) * E * L * (TILE + STRIP)
-                              + sizeof(ptrdiff_t) * 4 * E + sizeof(unsigned) * E);
+                              + (sizeof(REAL) + sizeof(unsigned)) * E);
     double *xs = (double *)(((uintptr_t)mem + 63) & ~(uintptr_t)63), *ys = xs + n;
     double *box = ys + n;                                      /* [4][nb] */
     REAL *acc = (REAL *)(xs + nx), *xr = acc + E * L * TILE; /* [e][l][TILE], [e][l][STRIP] */
-    ptrdiff_t *order = (ptrdiff_t *)(xr + E * L * STRIP), *pw = order + E; /* [e] */
-    unsigned *live = (unsigned *)(pw + 3 * E); /* [e]: a tile's live blocks as bits */
+    REAL *t = xr + E * L * STRIP; /* [e]: the least base value raised to the power pw[e] */
+    unsigned *live = (unsigned *)(t + E); /* [e]: a tile's live blocks as bits */
+    const int64_t *order = plan, *pw = plan + E;
     REAL kv[TILE], kd[TILE];
-    REAL t[POWER_BUDGET + 1] = {0}; /* t[r]: the least base value raised to the power r */
     double d2[TILE], gap2[TILE / STRIP];
     if (mem == NULL)
         return -1;
 
-    plan_scales(E, k, cneg, order, pw, pw + E, pw + 2 * E);
-    for (int r = 2; r <= POWER_BUDGET; r++)
-        t[r] = NEXT((REAL)exp(floor_ / (double)r), INFINITY);
+    for (ptrdiff_t e = 0; e < E; e++)
+        t[e] = NEXT((REAL)exp(floor_ / (double)pw[e]), INFINITY);
     for (ptrdiff_t q = 0; q < E * L * n; q++)
         X[q] = 0;
     for (ptrdiff_t j = 0; j < n; j++) { /* node n-1-j of the path */
@@ -311,7 +269,7 @@ int CAT(sweep, REAL)(ptrdiff_t n, ptrdiff_t E, ptrdiff_t k, const double *points
                 if (r == 1)
                     FN(row_span)(d2, cneg[e], floor_, i + 1, m, L, x, a, kv);
                 else
-                    FN(derived_span)(kv, r, t[r], i + 1, m, L, x, a, kd);
+                    FN(derived_span)(kv, r, t[e], i + 1, m, L, x, a, kd);
                 count[e] += m - i - 1;
             }
         }
@@ -347,7 +305,7 @@ int CAT(sweep, REAL)(ptrdiff_t n, ptrdiff_t E, ptrdiff_t k, const double *points
                         if (r == 1)
                             FN(row_span)(d2, cneg[e], floor_, 0, len, L, x, a, kv);
                         else
-                            FN(derived_span)(kv, r, t[r], 0, len, L, x, a, kd);
+                            FN(derived_span)(kv, r, t[e], 0, len, L, x, a, kd);
                         count[e] += len;
                         continue;
                     }
@@ -361,7 +319,7 @@ int CAT(sweep, REAL)(ptrdiff_t n, ptrdiff_t E, ptrdiff_t k, const double *points
                         if (r == 1)
                             FN(row_span)(d2, cneg[e], floor_, b0 * STRIP, r1, L, x, a, kv);
                         else
-                            FN(derived_span)(kv, r, t[r], b0 * STRIP, r1, L, x, a, kd);
+                            FN(derived_span)(kv, r, t[e], b0 * STRIP, r1, L, x, a, kd);
                         count[e] += r1 - b0 * STRIP;
                         b0 = b1;
                     }

@@ -22,9 +22,9 @@ O(k n^2) for any number of weights, with the sums of literal nested loops.
 
 That recursion is one C kernel, ``_sweep.c``, which forms each kernel exponent
 from a float64 squared distance, exponentiates it with glibc's vector math
-library (libmvec), or at a scale an integer ratio r below another raises that
-scale's value to the r-th power, and feeds it to every level in the same
-pass.  It takes no weight: ``simplex_levels`` applies the weights by
+library (libmvec), or at a scale that ``_scale_plan`` derives at power r
+raises its base scale's value to that power, and feeds it to every level in
+the same pass.  It takes no weight: ``simplex_levels`` applies the weights by
 ``einsum``, summed in path order, not by BLAS.  Importing this module builds
 the kernel with ``COMPILER`` (gcc) for this CPU, or loads the build cached for
 this source, flags and CPU in the first usable per-user directory of
@@ -230,11 +230,10 @@ def _load_sweep():
             with suppress(OSError):  # another process may have removed it first
                 os.unlink(os.path.join(cache, name))
     sweeps = {}
+    f64, i64 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (np.float64, np.int64))
     for dtype, name in ((np.float32, "sweep_float"), (np.float64, "sweep_double")):
         fn = getattr(lib, name)
-        fn.argtypes = [ctypes.c_ssize_t] * 3 + [
-            np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")] * 3 + [
-            np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")]
+        fn.argtypes = [ctypes.c_ssize_t] * 3 + [f64, f64, i64, f64, i64]
         fn.restype = ctypes.c_int
         sweeps[np.dtype(dtype)] = fn
     return sweeps
@@ -244,6 +243,37 @@ try:
     _SWEEP = _load_sweep()
 except RuntimeError as exc:
     _SWEEP = exc  # raised by simplex_levels, so that the import itself succeeds
+
+#: Largest (k - 1) r of a scale that ``_scale_plan`` derives at power r; at most
+#: 6, the largest power that ``_sweep.c`` forms in three rounded products
+POWER_BUDGET = 6
+
+
+def _scale_plan(cneg, k):
+    """The sweep's scale plan for the exponent factors ``cneg`` = -1/(2 eps) at
+    multiplicity k: an int64 array whose first E entries list the scales and
+    whose last E entries give scale e's power at index E + e.
+
+    Taken in descending eps (ties in the listed order), a scale derives from the
+    direct scale b with the least integer r = eps_b / eps, to 1e-12 relative,
+    such that r >= 2 and (k - 1) r <= ``POWER_BUDGET``; of equal r, from the
+    first such b.  Every other scale is direct, of power 1.  The list holds each
+    direct scale in descending eps, followed at once by the scales derived from
+    it, so that the sweep reads a derived scale's base values while they are
+    fresh.  No level depends on the order of equal scales.
+    """
+    c = np.asarray(cneg, dtype=float).tolist()
+    desc = sorted(range(len(c)), key=lambda e: -c[e])
+    power, base = [1] * len(c), [None] * len(c)
+    for q, e in enumerate(desc):
+        for b in desc[:q]:
+            ratio = c[e] / c[b]  # eps_b / eps_e >= 1
+            r = round(ratio) if ratio < POWER_BUDGET + 1 else 0
+            if (base[b] is None and r >= 2 and (k - 1) * r <= POWER_BUDGET
+                    and abs(ratio - r) <= 1e-12 * ratio and (power[e] == 1 or r < power[e])):
+                base[e], power[e] = b, r
+    order = [e for d in desc if base[d] is None for e in desc if e == d or base[e] == d]
+    return np.array(order + power, dtype=np.int64)
 
 
 def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
@@ -261,7 +291,7 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
         exponent is formed in float64 and then cast, so float32 rounds it once,
         wherever the path lies.  On grids with n >= 10 / eps, levels of
         positive weights agree with float64 to about 1e-8 relative per entry,
-        and to at most 7e-8 at a scale derived by the power rule below (both
+        and to at most 7e-8 at a scale that ``_scale_plan`` derives (both
         tested to 1e-7 at offsets up to 1e3; see README).
 
     The sweep is the compiled kernel of the module docstring.  It runs on the
@@ -282,13 +312,12 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
     block is skipped for a strip when the exponent formed from the squared
     distance between the two node blocks' bounding boxes falls below that
     floor, as then every pair in it would take the floor value.  No other pair
-    is skipped.  Scales at an integer ratio share their exps by a power rule:
-    taken in descending eps, a scale whose eps is eps_b / r for a direct
-    (exponentiated) scale eps_b, with r >= 2 an integer to 1e-12 relative and
-    (k - 1) r <= 6, takes each kernel value as max(K_b, exp(floor / r))^r from
-    the smallest such r, by at most three products (0.05 = 0.1 / 2 and 0.02 =
-    0.1 / 5 at k = 2); the power multiplies the rounding of K_b's exp by r,
-    which the bound on (k - 1) r keeps within the dtype agreement above.  A
+    is skipped.  Scales at an integer ratio share their exps: a scale that
+    ``_scale_plan`` derives from a direct (exponentiated) scale at power r
+    takes each kernel value as max(K_b, exp(floor / r))^r from that scale's
+    value K_b, by at most three products (0.05 = 0.1 / 2 and 0.02 = 0.1 / 5 at
+    k = 2); the power multiplies the rounding of K_b's exp by r, which the
+    plan's budget on (k - 1) r keeps within the dtype agreement above.  A
     direct scale's levels are bit for bit those of a sweep at that scale
     alone; a derived one's lie within 1e-15 of them in float64 and 1e-7 in
     float32.  A NaN in the points or weights reaches the levels it touches.
@@ -334,10 +363,11 @@ def simplex_levels(points, rho_rows, eps_list, k, dtype=np.float64):
     if isinstance(_SWEEP, RuntimeError):
         raise RuntimeError(*_SWEEP.args)
     sweep, points = _SWEEP[np.dtype(dtype)], np.ascontiguousarray(points)
+    plan = _scale_plan(cneg, k)
     kernel_values = np.zeros(E, dtype=np.int64)  # per scale, summed over the batch
     X = np.empty((E * (k - 1), n))  # one path's chain sums: a batch's would weigh on memory
     for b in range(B):
-        if sweep(n, E, k, points[b], cneg, X, kernel_values) != 0:
+        if sweep(n, E, k, points[b], cneg, plan, X, kernel_values) != 0:
             raise MemoryError("no scratch memory for the kernel sweep")
         out[b, :, :, 1:] = np.einsum("mj,qj->mq", rho_rows[b, :, ::-1], X).reshape(M, E, k - 1)
     out[:, :, :, 1:] *= factors.T

@@ -25,7 +25,7 @@ from silt import (EnsembleConfig, PlanarPath, RadialParameterMap, ScalarWeight,
                   cauchy_diagnostic, double_mean, dynkin_renormalize,
                   ensemble_renormalized, rare_spike_weight, renorm_double_mean, sample_path,
                   sample_path_points, simplex_functional, simplex_levels)
-from silt.slt_core import RENORM_DOUBLE_LIMIT, STRIP_ROWS, MCStats
+from silt.slt_core import POWER_BUDGET, RENORM_DOUBLE_LIMIT, STRIP_ROWS, MCStats
 
 UNIT = ScalarWeight.constant(1.0)
 ZERO = ScalarWeight.constant(0.0)
@@ -173,10 +173,6 @@ def _excursion_points(n, streams):
     return pts
 
 
-#: (k - 1) r of a scale that the sweep derives at power r is at most this
-#: (POWER_BUDGET in _sweep.c)
-POWER_BUDGET = 6
-
 #: rtol of derived levels against the dense float64 oracle: float64 forms
 #: them by at most three products from exps, float32 rounds them as in
 #: test_underflowing_kernel_matches_dense_oracle
@@ -189,7 +185,8 @@ DERIVED_VS_ALONE = {np.float32: 1e-7, np.float64: 1e-15}
 
 
 def _derived_scales(eps, k):
-    """{e: (b, r)} for each scale e that the sweep derives from scale b at power r.
+    """{e: (b, r)} for each scale e that the sweep derives from scale b at power r,
+    from the scales themselves: the oracle of ``slt_core._scale_plan``.
 
     In descending eps, a scale derives from the direct scale b with the least
     integer r = eps_b / eps_e (to 1e-12 relative) with r >= 2 and
@@ -207,13 +204,66 @@ def _derived_scales(eps, k):
     return derived
 
 
+def _plan(eps, k):
+    """(order, power) lists of ``slt_core._scale_plan`` for the scales eps."""
+    plan = slt_core._scale_plan(-0.5 / np.asarray(eps, dtype=float), k).tolist()
+    return plan[:len(eps)], plan[len(eps):]
+
+
+def _plan_bases(order, power):
+    """{e: (b, r)} of a plan: a derived scale's base is the direct scale listed last before it."""
+    bases, base = {}, None
+    for e in order:
+        if power[e] == 1:
+            base = e
+        else:
+            bases[e] = (base, power[e])
+    return bases
+
+
+def _sweep(points, eps, k, dtype):
+    """(X, count) of one path by a direct kernel call, with the plan simplex_levels passes."""
+    n, cneg = len(points) - 1, -0.5 / np.asarray(eps, dtype=float)
+    X, count = np.empty((len(cneg) * (k - 1), n)), np.zeros(len(cneg), dtype=np.int64)
+    plan = slt_core._scale_plan(cneg, k)
+    assert slt_core._SWEEP[np.dtype(dtype)](n, len(cneg), k, points, cneg, plan, X, count) == 0
+    return X, count
+
+
 def _kernel_counts(points, eps, dtype):
-    """Kernel values the sweep evaluates for one path at each scale, by a direct call."""
-    n, eps = len(points) - 1, np.asarray(eps, dtype=float)
-    count = np.zeros(len(eps), dtype=np.int64)
-    X = np.empty((len(eps), n))
-    assert slt_core._SWEEP[np.dtype(dtype)](n, len(eps), 2, points, -0.5 / eps, X, count) == 0
-    return count
+    """Kernel values the sweep evaluates for one path at each scale."""
+    return _sweep(points, eps, 2, dtype)[1]
+
+
+@pytest.mark.parametrize("eps, k, order, power", [
+    ((0.1, 0.05, 0.02), 2, [0, 1, 2], [1, 2, 5]),  # converge's scales
+    ((0.02, 0.05, 0.1), 2, [2, 1, 0], [5, 2, 1]),  # the same, listed ascending
+    ((0.3, 0.1), 3, [0, 1], [1, 3]),  # (k - 1) r = 6, the budget
+    ((0.4, 0.1), 3, [0, 1], [1, 1]),  # 8
+    ((0.2, 0.1), 4, [0, 1], [1, 2]),  # 6
+    ((0.3, 0.1), 4, [0, 1], [1, 1]),  # 9
+    ((0.3, 0.1 * (1 + 1e-13)), 2, [0, 1], [1, 3]),  # within 1e-12 of r = 3
+    ((0.3, 0.1 * (1 + 1e-11)), 2, [0, 1], [1, 1]),  # beyond it
+    ((0.1, 0.1), 2, [0, 1], [1, 1]),  # r = 1: equal scales are both direct
+    ((0.4, 0.2, 0.1), 2, [0, 1, 2], [1, 2, 4]),  # 0.1 from 0.4, not from the derived 0.2
+    ((0.3, 0.15, 0.05), 3, [0, 1, 2], [1, 2, 1]),  # 0.05 = 0.15 / 3, but 0.15 is derived
+    ((0.4, 0.3, 0.2, 0.15), 2, [0, 2, 1, 3], [1, 1, 2, 2]),  # each base, then its scales
+])
+def test_scale_plan(eps, k, order, power):
+    assert _plan(eps, k) == (order, power)
+
+
+@settings(max_examples=200, deadline=None)
+@given(top=st.floats(0.01, 0.5), k=st.integers(2, 5), data=st.data(),
+       divisors=st.lists(st.integers(1, 8) | st.floats(1.0, 8.0), max_size=5))
+def test_scale_plan_follows_the_power_rule(top, k, data, divisors):
+    # eps = top / d for a ladder of integer and other divisors, in any order
+    eps = data.draw(st.permutations([top] + [top / d for d in divisors]), label="eps")
+    order, power = _plan(eps, k)
+    assert sorted(order) == list(range(len(eps)))
+    direct = [eps[e] for e in order if power[e] == 1]
+    assert direct == sorted(direct, reverse=True)
+    assert _plan_bases(order, power) == _derived_scales(eps, k)
 
 
 def _live_pair_count(points, epsilon, dtype):
@@ -246,9 +296,7 @@ def test_weights_meet_chain_sums_in_sequential_order(M, k, dtype):
         rho[0, 0] = 0.0
         rho[0, M - 1, 7] = np.nan
     levels = simplex_levels(pts, rho, eps, k, dtype)
-    X = np.empty((len(eps) * (k - 1), n))
-    assert slt_core._SWEEP[np.dtype(dtype)](n, len(eps), k, pts[0], -0.5 / eps, X,
-                                            np.zeros(len(eps), dtype=np.int64)) == 0
+    X = _sweep(pts[0], eps, k, dtype)[0]
     expected = np.empty((M, len(eps), k - 1))
     for m in range(M):
         for q in range(len(eps) * (k - 1)):
